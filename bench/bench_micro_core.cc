@@ -127,7 +127,7 @@ void BM_StructuredDualThreads(benchmark::State& state) {
   state.counters["threads"] =
       benchmark::Counter(static_cast<double>(state.range(0)));
 }
-BENCHMARK(BM_StructuredDualThreads)->Arg(1)->Arg(2)->Arg(8)
+BENCHMARK(BM_StructuredDualThreads)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_RoundFractionalCatalogThreads(benchmark::State& state) {
@@ -146,7 +146,7 @@ void BM_RoundFractionalCatalogThreads(benchmark::State& state) {
   state.counters["threads"] =
       benchmark::Counter(static_cast<double>(state.range(0)));
 }
-BENCHMARK(BM_RoundFractionalCatalogThreads)->Arg(1)->Arg(2)->Arg(8);
+BENCHMARK(BM_RoundFractionalCatalogThreads)->Arg(1)->Arg(2)->Arg(4);
 
 // Catalog construction thread curve: enumeration chunks and the SoA scoring
 // finalize share one pool. Bit-identical output at every width; the /1 row
@@ -162,7 +162,7 @@ void BM_CatalogBuildThreads(benchmark::State& state) {
   state.counters["threads"] =
       benchmark::Counter(static_cast<double>(state.range(0)));
 }
-BENCHMARK(BM_CatalogBuildThreads)->Arg(1)->Arg(2)->Arg(8);
+BENCHMARK(BM_CatalogBuildThreads)->Arg(1)->Arg(2)->Arg(4);
 
 // The SoA batch-scoring entry point in isolation: a full-catalog Rescore on
 // the 1k-user instance with the SIMD dispatch pinned to scalar (/0) vs the

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <memory>
 
+#include "core/oracle_sweep.h"
 #include "util/cache_line.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace igepa {
@@ -52,7 +52,6 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
   // columns are never visited and the solve is bit-identical on dirty
   // (delta-mutated) and canonical catalogs alike.
   const std::vector<double>& weight = catalog.weights();
-  const std::vector<UserId>& col_user = catalog.col_users();
   const std::vector<int64_t>& col_begin = catalog.col_begin();
   const EventId* pool = catalog.pool().data();
 
@@ -84,28 +83,30 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
     return sol;
   }
 
-  // Live columns sorted by descending weight for the greedy polish pass.
-  // Ties break by (owner, id): within a user both ids sit in one contiguous
+  // Live columns sorted by descending weight for the greedy polish pass,
+  // packed with the owner so the polish reads one record per column. Ties
+  // break by (owner, id): within a user both ids sit in one contiguous
   // range, so this order is invariant under delta renumbering — a dirty
   // catalog polishes in exactly the order its compacted twin would.
-  std::vector<int32_t> by_weight;
+  struct PolishRef {
+    double weight;
+    int32_t column;
+    UserId user;
+  };
+  std::vector<PolishRef> by_weight;
   by_weight.reserve(static_cast<size_t>(catalog.num_live_columns()));
   for (UserId u = 0; u < nu; ++u) {
     for (int32_t j = catalog.user_columns_begin(u);
          j < catalog.user_columns_end(u); ++j) {
-      by_weight.push_back(j);
+      by_weight.push_back({weight[static_cast<size_t>(j)], j, u});
     }
   }
-  std::sort(by_weight.begin(), by_weight.end(), [&](int32_t a, int32_t b) {
-    if (weight[static_cast<size_t>(a)] != weight[static_cast<size_t>(b)]) {
-      return weight[static_cast<size_t>(a)] > weight[static_cast<size_t>(b)];
-    }
-    const UserId ua = col_user[static_cast<size_t>(a)];
-    const UserId ub = col_user[static_cast<size_t>(b)];
-    if (ua != ub) return ua < ub;
-    return a < b;
-  });
-  const int32_t live_cols = static_cast<int32_t>(by_weight.size());
+  std::sort(by_weight.begin(), by_weight.end(),
+            [](const PolishRef& a, const PolishRef& b) {
+              if (a.weight != b.weight) return a.weight > b.weight;
+              if (a.user != b.user) return a.user < b.user;
+              return a.column < b.column;
+            });
 
   // Warm start: μ seeds the trajectory; cached per-user choices are honored
   // at the first iteration only (where μ still equals the warm μ) and only
@@ -183,11 +184,10 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
       });
     }
     if (any_overload) {
-      for (int32_t jj = 0; jj < live_cols; ++jj) {
-        const int32_t j = by_weight[static_cast<size_t>(jj)];
-        if (xtry[static_cast<size_t>(j)] > 0.0) {
-          xtry[static_cast<size_t>(j)] *= factor[static_cast<size_t>(j)];
-        }
+      // Each column scales independently, so id order gives the same bits;
+      // tombstoned ids hold xtry == 0 and are skipped like unchosen ones.
+      for (size_t j = 0; j < xtry.size(); ++j) {
+        if (xtry[j] > 0.0) xtry[j] *= factor[j];
       }
     }
     // Exact activities and user masses of the scaled point.
@@ -208,14 +208,13 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
     // Greedy polish: refill by descending weight, respecting both the user's
     // residual mass (constraint (2)) and the events' residual capacity (3).
     double value = 0.0;
-    for (int32_t jj = 0; jj < live_cols; ++jj) {
-      const int32_t j = by_weight[static_cast<size_t>(jj)];
-      double& xj = xtry[static_cast<size_t>(j)];
-      const int32_t u = col_user[static_cast<size_t>(j)];
-      double room = std::min(1.0 - xj, 1.0 - user_mass[static_cast<size_t>(u)]);
+    for (const PolishRef& ref : by_weight) {
+      const size_t j = static_cast<size_t>(ref.column);
+      double& xj = xtry[j];
+      double& mass = user_mass[static_cast<size_t>(ref.user)];
+      double room = std::min(1.0 - xj, 1.0 - mass);
       if (room > 1e-12) {
-        for (int64_t e = col_begin[static_cast<size_t>(j)];
-             e < col_begin[static_cast<size_t>(j) + 1]; ++e) {
+        for (int64_t e = col_begin[j]; e < col_begin[j + 1]; ++e) {
           const EventId v = pool[e];
           room = std::min(room, capacity[static_cast<size_t>(v)] -
                                     ext_usage[static_cast<size_t>(v)]);
@@ -223,14 +222,13 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
         }
         if (room > 1e-12) {
           xj += room;
-          user_mass[static_cast<size_t>(u)] += room;
-          for (int64_t e = col_begin[static_cast<size_t>(j)];
-               e < col_begin[static_cast<size_t>(j) + 1]; ++e) {
+          mass += room;
+          for (int64_t e = col_begin[j]; e < col_begin[j + 1]; ++e) {
             ext_usage[static_cast<size_t>(pool[e])] += room;
           }
         }
       }
-      value += weight[static_cast<size_t>(j)] * xj;
+      value += ref.weight * xj;
     }
     return value;
   };
@@ -266,18 +264,6 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
       util::PaddedStride(static_cast<size_t>(nv), sizeof(double));
   std::vector<double> lane_usage(
       static_cast<size_t>(num_lanes) * usage_stride, 0.0);
-  // Per-lane reduced-cost scratch for the vectorized oracle scan: the
-  // per-column μ-sums of one user's block, computed in batch by
-  // util::simd::SumColumnLanes before the scalar argmax walk.
-  int32_t max_user_cols = 0;
-  for (UserId u = 0; u < nu; ++u) {
-    max_user_cols = std::max(
-        max_user_cols, catalog.user_columns_end(u) - catalog.user_columns_begin(u));
-  }
-  const size_t musum_stride = util::PaddedStride(
-      static_cast<size_t>(std::max(max_user_cols, 1)), sizeof(double));
-  std::vector<double> lane_musum(
-      static_cast<size_t>(num_lanes) * musum_stride, 0.0);
 
   const double step0 = options.step_scale * wmax;
   int64_t t = 1;
@@ -296,8 +282,6 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
     const bool reuse_choices = warm_choices_ok && t == 1;
     const auto oracle_chunk = [&](int32_t lane, int64_t sb, int64_t se) {
       double* lu = lane_usage.data() + static_cast<size_t>(lane) * usage_stride;
-      double* musum =
-          lane_musum.data() + static_cast<size_t>(lane) * musum_stride;
       for (int64_t s = sb; s < se; ++s) {
         const UserId shard_begin = static_cast<UserId>(s) * kUserShardSize;
         const UserId shard_end =
@@ -306,45 +290,28 @@ Result<lp::LpSolution> SolveBenchmarkLpStructured(
         for (UserId u = shard_begin; u < shard_end; ++u) {
           const int32_t begin = catalog.user_columns_begin(u);
           const int32_t end = catalog.user_columns_end(u);
-          double best = 0.0;
-          int32_t best_col = -1;
+          OracleChoice best;
           bool reused = false;
           if (reuse_choices &&
               (warm->stale.empty() ||
                warm->stale[static_cast<size_t>(u)] == 0)) {
             const int32_t cached = warm->choice[static_cast<size_t>(u)];
             if (cached < 0 || (cached >= begin && cached < end)) {
-              best_col = cached;
-              best = warm->choice_value[static_cast<size_t>(u)];
+              best = {cached, warm->choice_value[static_cast<size_t>(u)]};
               reused = true;
             }
           }
-          if (!reused && begin < end) {
-            // Batched reduced costs: the per-column Σμ over each span is one
-            // SumColumnLanes call (AVX2 when available — μ is already a
-            // dense event-indexed lane, no gather setup needed), then a
-            // scalar argmax walk. The reduction order w − (μ₁+…+μₖ) is fixed
-            // and schedule-independent, so every thread count, warm/cold
-            // restart and dirty/canonical catalog computes the same bits.
-            const int32_t count = end - begin;
-            util::simd::SumColumnLanes(mu.data(), pool,
-                                       col_begin.data() + begin, count, musum);
-            for (int32_t k = 0; k < count; ++k) {
-              const double reduced =
-                  weight[static_cast<size_t>(begin + k)] - musum[k];
-              if (reduced > best) {
-                best = reduced;
-                best_col = begin + k;
-              }
-            }
+          if (!reused) {
+            best = BestReducedColumn(weight.data(), pool, col_begin.data(),
+                                     mu.data(), begin, end);
           }
-          current_choice[static_cast<size_t>(u)] = best_col;
-          current_value[static_cast<size_t>(u)] = best;
-          if (best_col >= 0) {
-            lagr += best;
-            ++chosen_count[static_cast<size_t>(best_col)];
-            for (int64_t e = col_begin[static_cast<size_t>(best_col)];
-                 e < col_begin[static_cast<size_t>(best_col) + 1]; ++e) {
+          current_choice[static_cast<size_t>(u)] = best.column;
+          current_value[static_cast<size_t>(u)] = best.value;
+          if (best.column >= 0) {
+            const size_t j = static_cast<size_t>(best.column);
+            lagr += best.value;
+            ++chosen_count[j];
+            for (int64_t e = col_begin[j]; e < col_begin[j + 1]; ++e) {
               lu[pool[e]] += 1.0;
             }
           }

@@ -18,10 +18,10 @@
 #include <utility>
 
 #include "core/lp_packing.h"
+#include "core/oracle_sweep.h"
 #include "core/shard_residency.h"
 #include "core/utility_kernel.h"
 #include "io/catalog_spill.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace igepa {
@@ -77,8 +77,8 @@ struct ColumnRef {
 /// One level-1 unit: a contiguous user range with its own sub-instance,
 /// catalog and warm-dual state. On the spill path the catalog (and the
 /// sub-instance) are dropped right after level 1; everything level 2 needs —
-/// column count, widest user range, polish refs, the spill section index —
-/// is collected from Lanes() first.
+/// column count, polish refs, the spill section index — is collected from
+/// Lanes() first.
 struct Shard {
   UserId user_begin = 0;
   UserId user_end = 0;
@@ -87,7 +87,6 @@ struct Shard {
   DualWarmStart warm;
   int64_t level1_iterations = 0;
   int32_t num_columns = 0;
-  int32_t max_user_cols = 0;
   double wmax = 0.0;
   std::vector<ColumnRef> refs;  // merged into by_weight, then freed
   int32_t spill_index = -1;
@@ -292,9 +291,9 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
   // LP rows, never the admissible-set enumeration), so each shard prices its
   // fair slice of every event and the averaged duals land near the global
   // clearing prices. Everything level 2 needs beyond the lanes themselves
-  // (column count, polish refs, wmax, widest user range) is collected here,
-  // while the catalog is still in RAM; on the spill path the catalog and the
-  // sub-instance are then dropped.
+  // (column count, polish refs, wmax) is collected here, while the catalog
+  // is still in RAM; on the spill path the catalog and the sub-instance are
+  // then dropped.
   IGEPA_ASSIGN_OR_RETURN(
       std::shared_ptr<const UtilityKernel> kernel,
       MakeUtilityKernel(instance.kernel().id()));
@@ -338,11 +337,6 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
 
     const CatalogLanes lanes = shard.catalog->Lanes();
     shard.num_columns = lanes.num_columns;
-    for (int32_t lu = 0; lu < local; ++lu) {
-      shard.max_user_cols =
-          std::max(shard.max_user_cols,
-                   lanes.user_columns_end(lu) - lanes.user_columns_begin(lu));
-    }
     shard.refs.reserve(static_cast<size_t>(lanes.num_columns));
     for (int32_t j = 0; j < lanes.num_columns; ++j) {
       const double w = lanes.weight[j];
@@ -405,12 +399,10 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
   // Merge the per-shard metadata in shard index order.
   int64_t total_columns = 0;
   int64_t level1_iterations = 0;
-  int32_t max_user_cols = 0;
   double wmax = 0.0;
   for (const Shard& shard : shards) {
     total_columns += shard.num_columns;
     level1_iterations += shard.level1_iterations;
-    max_user_cols = std::max(max_user_cols, shard.max_user_cols);
     wmax = std::max(wmax, shard.wmax);
   }
   if (stats != nullptr) {
@@ -571,7 +563,6 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
   std::vector<std::vector<double>> x(static_cast<size_t>(num_shards));
   std::vector<std::vector<double>> best_x(static_cast<size_t>(num_shards));
   std::vector<double> partial(static_cast<size_t>(num_shards), 0.0);
-  std::vector<std::vector<double>> musum(static_cast<size_t>(num_shards));
   for (int32_t si = 0; si < num_shards; ++si) {
     const int32_t cols = shards[static_cast<size_t>(si)].num_columns;
     choice[static_cast<size_t>(si)].assign(
@@ -581,8 +572,6 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
     usage[static_cast<size_t>(si)].assign(static_cast<size_t>(nv), 0.0);
     x[static_cast<size_t>(si)].assign(static_cast<size_t>(cols), 0.0);
     best_x[static_cast<size_t>(si)].assign(static_cast<size_t>(cols), 0.0);
-    musum[static_cast<size_t>(si)].assign(
-        static_cast<size_t>(std::max(1, max_user_cols)), 0.0);
   }
   std::vector<double> used(static_cast<size_t>(nv), 0.0);
   std::vector<double> factor(static_cast<size_t>(nv), 1.0);
@@ -696,8 +685,8 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
     // sweep worker's Acquire forever while the main thread waits on them.
     serial_lease.Release();
     serial_shard = -1;
-    // Oracle sweep, one shard per work item: SIMD-batched μ sums over each
-    // user's columns, first-best argmax (ties → lowest column id). Each
+    // Oracle sweep, one shard per work item: the fused per-user oracle of
+    // core/oracle_sweep.h (first-best argmax, ties → lowest column id). Each
     // worker pins at most one spilled shard at a time and releases it before
     // the next, so the sweep itself cannot deadlock on the residency budget
     // even at max_pinned == 1.
@@ -717,37 +706,21 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
         } else {
           lanes = &inmem_lanes[static_cast<size_t>(si)];
         }
-        const int32_t* cat_pool = lanes->pool;
-        const int64_t* col_begin = lanes->col_begin;
-        const double* weights = lanes->weight;
         auto& shard_choice = choice[static_cast<size_t>(si)];
         auto& shard_count = count[static_cast<size_t>(si)];
         auto& shard_usage = usage[static_cast<size_t>(si)];
         double& shard_partial = partial[static_cast<size_t>(si)];
-        double* scratch = musum[static_cast<size_t>(si)].data();
         shard_partial = 0.0;
         std::fill(shard_usage.begin(), shard_usage.end(), 0.0);
         for (int32_t lu = 0; lu < shard.num_local_users(); ++lu) {
-          const int32_t begin = lanes->user_columns_begin(lu);
-          const int32_t span = lanes->user_columns_end(lu) - begin;
-          int32_t best_col = -1;
-          double best = 0.0;
-          if (span > 0) {
-            util::simd::SumColumnLanes(mu.data(), cat_pool, col_begin + begin,
-                                       span, scratch);
-            for (int32_t k = 0; k < span; ++k) {
-              const double value = weights[begin + k] - scratch[k];
-              if (value > best) {
-                best = value;
-                best_col = begin + k;
-              }
-            }
-          }
-          shard_choice[static_cast<size_t>(lu)] = best_col;
-          if (best_col >= 0) {
-            shard_partial += best;
-            shard_count[static_cast<size_t>(best_col)] += 1;
-            for (EventId v : lanes->set(best_col)) {
+          const OracleChoice best = BestReducedColumn(
+              lanes->weight, lanes->pool, lanes->col_begin, mu.data(),
+              lanes->user_columns_begin(lu), lanes->user_columns_end(lu));
+          shard_choice[static_cast<size_t>(lu)] = best.column;
+          if (best.column >= 0) {
+            shard_partial += best.value;
+            shard_count[static_cast<size_t>(best.column)] += 1;
+            for (EventId v : lanes->set(best.column)) {
               shard_usage[static_cast<size_t>(v)] += 1.0;
             }
           }

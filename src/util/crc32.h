@@ -8,9 +8,10 @@
 namespace igepa {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum
-/// framing the serve WAL records and snapshot files (docs/FORMATS.md). Table
-/// driven, byte at a time; fast enough for the record sizes involved and,
-/// unlike hardware CRC32C, identical on every platform the tests run on.
+/// framing the serve WAL records and snapshot files, the binary instance and
+/// the catalog spill (docs/FORMATS.md). Table driven, eight bytes per step
+/// (slice-by-8) with a byte-at-a-time tail; unlike hardware CRC32C it is
+/// identical on every platform the tests run on.
 ///
 /// `Crc32Update` chains: feed it the previous return value to extend a
 /// checksum over multiple buffers. `Crc32` is the one-shot convenience over a
