@@ -1,7 +1,7 @@
-// Ablation: the LP tier behind line 1 of Algorithm 1 (DESIGN.md §6) — exact
-// dense simplex vs exact revised simplex vs the generic packing dual vs the
-// structured block-angular dual — quality (LP objective, realized utility)
-// and solve time at a medium scale where all four run.
+// Ablation: the LP tier behind line 1 of Algorithm 1 (DESIGN.md §6) — the
+// exact dense simplex vs the structured block-angular dual — quality (LP
+// objective, realized utility) and solve time at a medium scale where both
+// run.
 
 #include <cstdio>
 #include <string>
@@ -27,22 +27,7 @@ int main() {
   {
     Tier t;
     t.name = "DenseSimplex";
-    t.options.benchmark_solver = core::BenchmarkSolverKind::kLpFacade;
-    t.options.solver.kind = lp::SolverKind::kDenseSimplex;
-    tiers.push_back(t);
-  }
-  {
-    Tier t;
-    t.name = "RevisedSimplex";
-    t.options.benchmark_solver = core::BenchmarkSolverKind::kLpFacade;
-    t.options.solver.kind = lp::SolverKind::kRevisedSimplex;
-    tiers.push_back(t);
-  }
-  {
-    Tier t;
-    t.name = "PackingDual";
-    t.options.benchmark_solver = core::BenchmarkSolverKind::kLpFacade;
-    t.options.solver.kind = lp::SolverKind::kPackingDual;
+    t.options.benchmark_solver = core::BenchmarkSolverKind::kExact;
     tiers.push_back(t);
   }
   {
@@ -85,8 +70,8 @@ int main() {
     std::printf("%-16s %12.2f %12.4f %12.2f %12.2f\n", tier.name.c_str(),
                 lp_obj.mean(), gap.mean(), utility.mean(), ms.mean());
   }
-  std::printf("\nexpected shape: all tiers reach near-identical utility; the "
-              "approximate tiers trade a certified <=1%% LP gap for orders-"
-              "of-magnitude faster solves.\n");
+  std::printf("\nexpected shape: both tiers reach near-identical utility; the "
+              "structured dual trades a certified <=1%% LP gap for an orders-"
+              "of-magnitude faster solve.\n");
   return 0;
 }

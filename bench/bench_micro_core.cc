@@ -76,7 +76,7 @@ void BM_BuildAdmissibleCatalog(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildAdmissibleCatalog)->Arg(500)->Arg(1000)->Arg(2000);
 
-// Everything the generic-facade tier must do before the LP solve can start
+// Everything the exact tier must do before its DenseSimplex solve can start
 // on the 1k-user synthetic instance: the catalog's flat arena IS the
 // structured solver's input (compare against BM_BuildAdmissibleCatalog/1000);
 // only this tier additionally materializes an lp::LpModel.

@@ -1,5 +1,5 @@
-// google-benchmark microbenchmarks for the LP substrate: the three generic
-// engines on random packing LPs and the structured solver on benchmark LPs.
+// google-benchmark microbenchmarks for the LP substrate: the dense simplex on
+// random packing LPs and the structured solver on benchmark LPs.
 
 #include <benchmark/benchmark.h>
 
@@ -9,8 +9,6 @@
 #include "core/lp_packing.h"
 #include "gen/synthetic.h"
 #include "lp/dense_simplex.h"
-#include "lp/packing_dual.h"
-#include "lp/revised_simplex.h"
 #include "util/rng.h"
 
 namespace {
@@ -45,35 +43,6 @@ void BM_DenseSimplex(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseSimplex)->Args({20, 60})->Args({50, 200})->Args({100, 500});
-
-void BM_RevisedSimplex(benchmark::State& state) {
-  const auto m = MakePackingLp(static_cast<int32_t>(state.range(0)),
-                               static_cast<int32_t>(state.range(1)), 42);
-  for (auto _ : state) {
-    auto sol = lp::RevisedSimplex().Solve(m);
-    benchmark::DoNotOptimize(sol);
-  }
-}
-BENCHMARK(BM_RevisedSimplex)
-    ->Args({20, 60})
-    ->Args({50, 200})
-    ->Args({100, 500})
-    ->Args({200, 2000});
-
-void BM_PackingDual(benchmark::State& state) {
-  const auto m = MakePackingLp(static_cast<int32_t>(state.range(0)),
-                               static_cast<int32_t>(state.range(1)), 42);
-  lp::PackingDualOptions options;
-  options.target_gap = 0.01;
-  for (auto _ : state) {
-    auto sol = lp::PackingDualSolver(options).Solve(m);
-    benchmark::DoNotOptimize(sol);
-  }
-}
-BENCHMARK(BM_PackingDual)
-    ->Args({50, 200})
-    ->Args({200, 2000})
-    ->Args({1000, 10000});
 
 // Catalog entry point: the solver iterates the shared CSR directly, no
 // per-solve model copy.

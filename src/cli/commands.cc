@@ -231,6 +231,9 @@ int CmdSolve(const std::vector<std::string>& args, std::ostream& out,
     return Fail(err, Status::InvalidArgument(
                          "--memory-budget-mb requires --sharded"));
   }
+  if (parser.GetInt("shards") > 0 && !parser.GetBool("sharded")) {
+    return Fail(err, Status::InvalidArgument("--shards requires --sharded"));
+  }
   Stopwatch watch;
   Result<core::Arrangement> arrangement = Status::Internal("unset");
   core::ShardedSolveStats sharded_stats;

@@ -122,8 +122,8 @@ struct CatalogDeltaResult {
 /// (`canonical() == false`). Per-user column ranges stay contiguous and
 /// live-only in either state, so every consumer that walks user ranges and
 /// the ForEach inverted index (structured dual, rounding/repair, baselines,
-/// exact solver) works unchanged on dirty catalogs; only the materialized
-/// facade LP requires a canonical catalog (it assumes model column k ==
+/// exact solver) works unchanged on dirty catalogs; only the exact tier's
+/// materialized LP requires a canonical catalog (it assumes model column k ==
 /// catalog column k).
 class AdmissibleCatalog {
  public:

@@ -84,7 +84,7 @@ struct StructuredDualOptions {
 ///
 /// which is an upper bound on LP (1)-(4) for every μ >= 0. Projected
 /// subgradient descent over the (small) μ space converges far faster than
-/// dualizing all |U|+|V| rows (lp::PackingDualSolver), which is what makes
+/// dualizing all |U|+|V| rows of a generic packing LP, which is what makes
 /// Fig. 1(b)'s |U| = 10⁴ sweep tractable. The primal is recovered from
 /// suffix-averaged oracle choices (a per-user distribution over admissible
 /// sets, automatically satisfying (2)), repaired by per-column scaling on

@@ -33,12 +33,11 @@ struct BenchmarkLp {
   }
 };
 
-/// Materializes the benchmark LP from catalog views — needed only when the
-/// generic lp:: facade (dense/revised simplex, generic packing dual) solves
-/// line 1; the structured solver (benchmark_dual.h) consumes the catalog CSR
-/// directly. Column j of the model is catalog column j: objective
-/// `catalog.weight(j)`, +1 in the owner's user row and in each event row of
-/// `catalog.set(j)`.
+/// Materializes the benchmark LP from catalog views — needed only when
+/// lp::DenseSimplex (the exact tier) solves line 1; the structured solver
+/// (benchmark_dual.h) consumes the catalog CSR directly. Column j of the
+/// model is catalog column j: objective `catalog.weight(j)`, +1 in the
+/// owner's user row and in each event row of `catalog.set(j)`.
 BenchmarkLp BuildBenchmarkLp(const Instance& instance,
                              const AdmissibleCatalog& catalog);
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 
+#include "lp/dense_simplex.h"
 #include "util/cache_line.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -15,6 +16,11 @@ namespace {
 
 /// Users per chunk of the sampling/demand sweeps.
 constexpr int64_t kRoundGrain = 256;
+
+/// kAuto solves the benchmark LP with lp::DenseSimplex while its tableau,
+/// (|U| + |V|) rows × columns, stays within this many cells, and with the
+/// structured dual beyond that.
+constexpr int64_t kDenseCellLimit = 4'000'000;
 
 /// Below this many users the rounding stage stays serial (pool spawn costs
 /// more than the sweeps; results are identical either way).
@@ -53,29 +59,29 @@ Result<FractionalSolution> SolveBenchmarkLpForPacking(
   FractionalSolution fractional;
   bool structured = false;
   switch (options.benchmark_solver) {
-    case BenchmarkSolverKind::kLpFacade:
+    case BenchmarkSolverKind::kExact:
       structured = false;
       break;
     case BenchmarkSolverKind::kStructuredDual:
       structured = true;
       break;
     case BenchmarkSolverKind::kAuto: {
-      // Same cell count the legacy path derived from the materialized model
-      // (rows = |U|+|V|), computed here without materializing anything.
+      // The materialized model's tableau size (rows = |U|+|V|), computed
+      // here without materializing anything.
       const int64_t cells =
           (static_cast<int64_t>(instance.num_users()) + instance.num_events()) *
           catalog.num_columns();
-      structured = cells > options.solver.dense_cell_limit;
+      structured = cells > kDenseCellLimit;
       break;
     }
   }
-  // The materialized facade model assumes model column k == catalog column k,
-  // which only holds on a canonical catalog; a delta-mutated one routes to
-  // the structured solver, which walks live ranges directly.
+  // The materialized model assumes model column k == catalog column k, which
+  // only holds on a canonical catalog; a delta-mutated one routes to the
+  // structured solver, which walks live ranges directly.
   if (!catalog.canonical()) {
-    if (options.benchmark_solver == BenchmarkSolverKind::kLpFacade) {
+    if (options.benchmark_solver == BenchmarkSolverKind::kExact) {
       return Status::FailedPrecondition(
-          "kLpFacade requires a canonical (compacted) catalog");
+          "kExact requires a canonical (compacted) catalog");
     }
     structured = true;
   }
@@ -87,7 +93,7 @@ Result<FractionalSolution> SolveBenchmarkLpForPacking(
   } else {
     fractional.bench = BuildBenchmarkLp(instance, catalog);
     IGEPA_ASSIGN_OR_RETURN(fractional.lp,
-                           lp::SolveLp(fractional.bench.model, options.solver));
+                           lp::DenseSimplex().Solve(fractional.bench.model));
   }
   if (fractional.lp.status != lp::SolveStatus::kOptimal &&
       fractional.lp.status != lp::SolveStatus::kApproximate &&
@@ -123,10 +129,6 @@ Result<Arrangement> RoundFractional(const Instance& instance,
     stats->lp_upper_bound = lp_sol.upper_bound;
     stats->lp_iterations = lp_sol.iterations;
     stats->used_structured_dual = fractional.structured;
-    if (!fractional.structured) {
-      stats->solver_used = lp::ChooseSolver(fractional.bench.model,
-                                            options.solver);
-    }
     stats->num_columns = catalog.num_live_columns();
     stats->admissible_truncated = catalog.any_truncated();
   }

@@ -10,7 +10,7 @@
 #include "core/benchmark_dual.h"
 #include "core/benchmark_lp.h"
 #include "core/instance.h"
-#include "lp/solver.h"
+#include "lp/solution.h"
 #include "util/result.h"
 #include "util/rng.h"
 
@@ -33,9 +33,10 @@ enum class BenchmarkSolverKind : uint8_t {
   /// Exact dense simplex while the tableau fits (small instances), the
   /// structured Lagrangian solver beyond that. The right default.
   kAuto,
-  /// Always route through the generic lp:: facade (exact simplex tiers or the
-  /// generic packing dual, per lp::LpSolverOptions).
-  kLpFacade,
+  /// Always solve exactly: materialize the benchmark LP and run
+  /// lp::DenseSimplex, whatever the size. The exact oracle for tests and the
+  /// LP-tier ablation; requires a canonical catalog.
+  kExact,
   /// Always use the structured block-angular solver (benchmark_dual.h).
   kStructuredDual,
 };
@@ -47,9 +48,6 @@ struct LpPackingOptions {
   double alpha = 1.0;
   /// Which engine solves the benchmark LP.
   BenchmarkSolverKind benchmark_solver = BenchmarkSolverKind::kAuto;
-  /// Generic lp:: engine selection (used by kLpFacade, and by kAuto below the
-  /// dense-tableau threshold).
-  lp::LpSolverOptions solver;
   /// Structured-solver options (used by kStructuredDual / large kAuto).
   StructuredDualOptions structured;
   /// Admissible-set enumeration controls.
@@ -80,9 +78,8 @@ struct LpPackingStats {
   /// the IGEPA optimum, up to the admissible-set cap).
   double lp_upper_bound = 0.0;
   int64_t lp_iterations = 0;
-  lp::SolverKind solver_used = lp::SolverKind::kAuto;
-  /// True when the structured block-angular solver handled line 1 (then
-  /// solver_used is meaningless).
+  /// True when the structured block-angular solver handled line 1; false
+  /// when lp::DenseSimplex solved it exactly.
   bool used_structured_dual = false;
   int32_t num_columns = 0;
   /// Users whose sampled set was non-empty (before repair).
@@ -121,9 +118,9 @@ Result<Arrangement> LpPackingWithCatalog(const Instance& instance,
 /// experiment harnesses solve it once per instance and re-round many times
 /// (this is how the paper's 50-repetition real-dataset protocol stays cheap).
 struct FractionalSolution {
-  /// Materialized model + column bookkeeping — only filled when the generic
-  /// lp:: facade solved line 1 (the structured solver reads the catalog CSR
-  /// directly and leaves it empty).
+  /// Materialized model + column bookkeeping — only filled when
+  /// lp::DenseSimplex solved line 1 (the structured solver reads the catalog
+  /// CSR directly and leaves it empty).
   BenchmarkLp bench;
   lp::LpSolution lp;
   /// True when the structured block-angular solver produced `lp`.
@@ -131,8 +128,8 @@ struct FractionalSolution {
 };
 
 /// Line 1 of Algorithm 1 over the catalog: solve the benchmark LP (1)-(4),
-/// routing to the structured CSR solver or materializing a model for the
-/// generic facade per `options.benchmark_solver`.
+/// routing to the structured CSR solver or materializing a model for
+/// lp::DenseSimplex per `options.benchmark_solver`.
 Result<FractionalSolution> SolveBenchmarkLpForPacking(
     const Instance& instance, const AdmissibleCatalog& catalog,
     const LpPackingOptions& options = {});

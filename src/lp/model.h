@@ -68,7 +68,7 @@ class LpModel {
 
   /// True when the model is in *packing canonical form*: every row is `<=`
   /// with rhs >= 0, every coefficient is >= 0, and every variable has
-  /// 0 <= lower <= upper. RevisedSimplex and PackingDualSolver require this.
+  /// 0 <= lower <= upper. The benchmark LP (1)-(4) always is.
   bool IsPackingForm() const;
 
   /// Evaluates the objective at `x` (size num_cols()).

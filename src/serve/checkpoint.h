@@ -41,7 +41,7 @@ struct EngineSnapshot {
   std::vector<int32_t> demand;
   std::vector<int32_t> cutoff;
   // ---- FractionalSolution.lp (structured solves only — the serve pipeline
-  // never materializes the facade model). ----
+  // never materializes the exact tier's model). ----
   int32_t lp_status = 0;
   double lp_objective = 0.0;
   double lp_upper_bound = 0.0;

@@ -15,6 +15,7 @@ void ArgParser::AddString(const std::string& name, std::string default_value,
   Flag flag;
   flag.type = Type::kString;
   flag.help = std::move(help);
+  flag.usage = "=<string> (default \"" + default_value + "\")";
   flag.string_value = std::move(default_value);
   flags_[name] = std::move(flag);
 }
@@ -24,6 +25,7 @@ void ArgParser::AddInt(const std::string& name, int64_t default_value,
   Flag flag;
   flag.type = Type::kInt;
   flag.help = std::move(help);
+  flag.usage = "=<int> (default " + std::to_string(default_value) + ")";
   flag.int_value = default_value;
   flags_[name] = std::move(flag);
 }
@@ -33,6 +35,7 @@ void ArgParser::AddDouble(const std::string& name, double default_value,
   Flag flag;
   flag.type = Type::kDouble;
   flag.help = std::move(help);
+  flag.usage = "=<number> (default " + FormatDouble(default_value, 4) + ")";
   flag.double_value = default_value;
   flags_[name] = std::move(flag);
 }
@@ -42,6 +45,7 @@ void ArgParser::AddBool(const std::string& name, bool default_value,
   Flag flag;
   flag.type = Type::kBool;
   flag.help = std::move(help);
+  flag.usage = default_value ? " (default true)" : " (default false)";
   flag.bool_value = default_value;
   flags_[name] = std::move(flag);
 }
@@ -156,23 +160,7 @@ std::string ArgParser::Usage() const {
   os << "usage: " << program_ << " [flags]\n";
   if (!description_.empty()) os << description_ << "\n";
   for (const auto& [name, flag] : flags_) {
-    os << "  --" << name;
-    switch (flag.type) {
-      case Type::kString:
-        os << "=<string> (default \"" << flag.string_value << "\")";
-        break;
-      case Type::kInt:
-        os << "=<int> (default " << flag.int_value << ")";
-        break;
-      case Type::kDouble:
-        os << "=<number> (default " << FormatDouble(flag.double_value, 4)
-           << ")";
-        break;
-      case Type::kBool:
-        os << " (default " << (flag.bool_value ? "true" : "false") << ")";
-        break;
-    }
-    os << "\n      " << flag.help << "\n";
+    os << "  --" << name << flag.usage << "\n      " << flag.help << "\n";
   }
   return os.str();
 }

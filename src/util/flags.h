@@ -44,7 +44,8 @@ class ArgParser {
   /// Non-flag arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Help text listing every flag with its default.
+  /// Help text listing every flag with its default (the value given at Add
+  /// time, not one parsed since).
   std::string Usage() const;
 
  private:
@@ -52,6 +53,9 @@ class ArgParser {
   struct Flag {
     Type type;
     std::string help;
+    /// Value syntax and default as Usage() prints them, fixed when the flag
+    /// is added so parsed values never show up as defaults.
+    std::string usage;
     std::string string_value;
     int64_t int_value = 0;
     double double_value = 0.0;

@@ -292,6 +292,14 @@ TEST(CliTest, SolveShardedIsThreadCountInvariant) {
   EXPECT_NE(
       RunTool({"solve", "--in=" + bin, "--algorithm=gg", "--sharded"}).code,
       0);
+  // Sharded-only knobs are refused without --sharded, not silently dropped
+  // by the monolithic solve.
+  const CliRun shards = RunTool({"solve", "--in=" + bin, "--shards=3"});
+  EXPECT_NE(shards.code, 0);
+  EXPECT_NE(shards.err.find("--shards requires --sharded"), std::string::npos)
+      << shards.err;
+  EXPECT_NE(RunTool({"solve", "--in=" + bin, "--memory-budget-mb=8"}).code,
+            0);
 }
 
 TEST(CliTest, ConvertRejectsBadArguments) {

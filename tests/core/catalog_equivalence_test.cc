@@ -76,7 +76,7 @@ void ExpectEquivalent(const Instance& instance,
 TEST(CatalogEquivalenceTest, TinyInstanceFacadeTier) {
   const Instance instance = MakeTinyInstance();
   LpPackingOptions options;
-  options.benchmark_solver = BenchmarkSolverKind::kLpFacade;
+  options.benchmark_solver = BenchmarkSolverKind::kExact;
   ExpectEquivalent(instance, options, /*round_seed=*/101);
 }
 
@@ -85,7 +85,7 @@ TEST(CatalogEquivalenceTest, SyntheticFacadeTierSeeds) {
     auto instance = ScarceInstance(seed, 60);
     ASSERT_TRUE(instance.ok());
     LpPackingOptions options;
-    options.benchmark_solver = BenchmarkSolverKind::kLpFacade;
+    options.benchmark_solver = BenchmarkSolverKind::kExact;
     ExpectEquivalent(*instance, options, /*round_seed=*/seed * 13);
   }
 }
@@ -108,7 +108,7 @@ TEST(CatalogEquivalenceTest, AlphaHalfAndRepairOrders) {
         RepairOrder::kWeightDesc}) {
     LpPackingOptions options;
     options.alpha = 0.5;
-    options.benchmark_solver = BenchmarkSolverKind::kLpFacade;
+    options.benchmark_solver = BenchmarkSolverKind::kExact;
     options.repair_order = order;
     ExpectEquivalent(*instance, options, /*round_seed=*/777);
   }
@@ -119,7 +119,7 @@ TEST(CatalogEquivalenceTest, TruncatedEnumerationStaysEquivalent) {
   ASSERT_TRUE(instance.ok());
   LpPackingOptions options;
   options.admissible.max_sets_per_user = 3;  // force truncation
-  options.benchmark_solver = BenchmarkSolverKind::kLpFacade;
+  options.benchmark_solver = BenchmarkSolverKind::kExact;
   ExpectEquivalent(*instance, options, /*round_seed=*/999);
 }
 

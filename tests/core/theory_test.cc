@@ -3,8 +3,13 @@
 //   Theorem 2 — with α = 1/2, E[utility of Algorithm 1] >= OPT / 4
 //               (we verify the stronger per-instance statement
 //                E[ALG] >= α(1-α)·LP* >= OPT/4 by Monte-Carlo averaging).
+// Both Theorem-2 checks run on the exact tier and on the structured dual;
+// on the latter the bounds scale by (1 - gap), where gap is the solve's
+// certified relative duality gap and LP* is the DenseSimplex optimum.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "algo/exact.h"
 #include "core/benchmark_lp.h"
@@ -52,10 +57,51 @@ TEST(TheoryTest, Lemma1LpUpperBoundsExactOptimum) {
   }
 }
 
-class TheoremTwoTest : public ::testing::TestWithParam<uint64_t> {};
+/// Mean utility of `trials` runs of Algorithm 1 at α = 1/2 (the Theorem-2
+/// setting) on one LP tier, with the certified relative gap of its LP solve
+/// (0 on the exact tier).
+struct AlphaHalfRuns {
+  double mean_utility = 0.0;
+  double gap = 0.0;
+};
 
-TEST_P(TheoremTwoTest, ExpectedUtilityBeatsQuarterOptimum) {
-  Rng master(GetParam());
+/// Solves line 1 once on `tier`, then rounds `trials` times, each run on a
+/// fresh fork of `master`. Line 1 draws no randomness, so this is the same
+/// sequence of arrangements as `trials` LpPacking calls.
+AlphaHalfRuns RunAlphaHalf(const Instance& instance, BenchmarkSolverKind tier,
+                           int trials, Rng* master) {
+  LpPackingOptions options;
+  options.alpha = 0.5;
+  options.benchmark_solver = tier;
+  const auto catalog = AdmissibleCatalog::Build(instance, options.admissible);
+  auto fractional = SolveBenchmarkLpForPacking(instance, catalog, options);
+  EXPECT_TRUE(fractional.ok()) << fractional.status();
+  if (!fractional.ok()) return {};
+  AlphaHalfRuns runs;
+  runs.gap = std::max(0.0, fractional->lp.RelativeGap());
+  double total = 0.0;
+  for (int t = 0; t < trials; ++t) {
+    Rng rng = master->Fork();
+    auto result =
+        RoundFractional(instance, catalog, *fractional, &rng, options);
+    EXPECT_TRUE(result.ok());
+    if (!result.ok()) return {};
+    EXPECT_TRUE(result->CheckFeasible(instance).ok());
+    total += result->Utility(instance);
+  }
+  runs.mean_utility = total / trials;
+  return runs;
+}
+
+const char* TierName(BenchmarkSolverKind tier) {
+  return tier == BenchmarkSolverKind::kStructuredDual ? "StructuredDual"
+                                                      : "Exact";
+}
+
+/// Theorem 2 on one LP tier: E[ALG] >= OPT/4, scaled by (1 - gap) on an
+/// approximate tier.
+void ExpectTheoremTwo(uint64_t seed, BenchmarkSolverKind tier) {
+  Rng master(seed);
   Rng gen_rng = master.Fork();
   auto instance = gen::GenerateSynthetic(TinyConfig(8, 7), &gen_rng);
   ASSERT_TRUE(instance.ok());
@@ -66,47 +112,54 @@ TEST_P(TheoremTwoTest, ExpectedUtilityBeatsQuarterOptimum) {
   const double opt = exact_stats.optimum;
   if (opt <= 1e-9) GTEST_SKIP() << "degenerate instance with OPT=0";
 
-  LpPackingOptions options;
-  options.alpha = 0.5;  // the Theorem-2 setting
-  const int trials = 300;
-  double total = 0.0;
-  for (int t = 0; t < trials; ++t) {
-    Rng rng = master.Fork();
-    auto result = LpPacking(*instance, &rng, options);
-    ASSERT_TRUE(result.ok());
-    ASSERT_TRUE(result->CheckFeasible(*instance).ok());
-    total += result->Utility(*instance);
+  const AlphaHalfRuns runs = RunAlphaHalf(*instance, tier, 300, &master);
+  // A 300-sample mean has noticeable variance, so allow a small statistical
+  // slack below the bound — in practice the mean sits far above it.
+  EXPECT_GE(runs.mean_utility, 0.25 * (1.0 - runs.gap) * opt * 0.9)
+      << TierName(tier) << " E[ALG]=" << runs.mean_utility << " OPT=" << opt
+      << " gap=" << runs.gap;
+  if (tier == BenchmarkSolverKind::kStructuredDual) {
+    // The proof's stronger per-instance form against the exact LP optimum.
+    const double lp_value = LpOptimum(*instance);
+    EXPECT_GE(runs.mean_utility, 0.25 * (1.0 - runs.gap) * lp_value * 0.9)
+        << "E[ALG]=" << runs.mean_utility << " LP*=" << lp_value
+        << " gap=" << runs.gap;
   }
-  const double expected_utility = total / trials;
-  // Theorem 2 guarantees E[ALG] >= OPT/4. A 300-sample mean has noticeable
-  // variance, so allow a small statistical slack below the bound — in
-  // practice the mean sits far above it.
-  EXPECT_GE(expected_utility, 0.25 * opt * 0.9)
-      << "E[ALG]=" << expected_utility << " OPT=" << opt;
+}
+
+class TheoremTwoTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TheoremTwoTest, ExpectedUtilityBeatsQuarterOptimum) {
+  ExpectTheoremTwo(GetParam(), BenchmarkSolverKind::kAuto);
+}
+
+TEST_P(TheoremTwoTest, ExpectedUtilityBeatsQuarterOptimumStructuredDual) {
+  ExpectTheoremTwo(GetParam(), BenchmarkSolverKind::kStructuredDual);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TheoremTwoTest,
                          ::testing::Values(101, 202, 303, 404, 505));
 
-TEST(TheoryTest, AlphaHalfSamplingBoundHoldsAgainstLp) {
-  // The proof's intermediate inequality: E[ALG] >= α(1-α)·LP*.
+/// The proof's intermediate inequality: E[ALG] >= α(1-α)·(1-gap)·LP*.
+void ExpectAlphaHalfSamplingBound(BenchmarkSolverKind tier) {
   Rng master(77);
   Rng gen_rng = master.Fork();
   auto instance = gen::GenerateSynthetic(TinyConfig(10, 9), &gen_rng);
   ASSERT_TRUE(instance.ok());
   const double lp_value = LpOptimum(*instance);
   if (lp_value <= 1e-9) GTEST_SKIP();
-  LpPackingOptions options;
-  options.alpha = 0.5;
-  const int trials = 400;
-  double total = 0.0;
-  for (int t = 0; t < trials; ++t) {
-    Rng rng = master.Fork();
-    auto result = LpPacking(*instance, &rng, options);
-    ASSERT_TRUE(result.ok());
-    total += result->Utility(*instance);
-  }
-  EXPECT_GE(total / trials, 0.25 * lp_value * 0.9);
+  const AlphaHalfRuns runs = RunAlphaHalf(*instance, tier, 400, &master);
+  EXPECT_GE(runs.mean_utility, 0.25 * (1.0 - runs.gap) * lp_value * 0.9)
+      << TierName(tier) << " E[ALG]=" << runs.mean_utility
+      << " LP*=" << lp_value << " gap=" << runs.gap;
+}
+
+TEST(TheoryTest, AlphaHalfSamplingBoundHoldsAgainstLp) {
+  ExpectAlphaHalfSamplingBound(BenchmarkSolverKind::kAuto);
+}
+
+TEST(TheoryTest, AlphaHalfSamplingBoundHoldsAgainstLpStructuredDual) {
+  ExpectAlphaHalfSamplingBound(BenchmarkSolverKind::kStructuredDual);
 }
 
 TEST(TheoryTest, PaperAlphaOneDominatesAlphaHalfOnAverage) {

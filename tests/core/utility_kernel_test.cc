@@ -221,7 +221,7 @@ TEST(UtilityKernelTest, CohesionKernelChangesTheArrangement) {
   by_cohesion.set_kernel(std::make_shared<CohesionKernel>(0.25));
 
   LpPackingOptions options;
-  options.benchmark_solver = BenchmarkSolverKind::kLpFacade;
+  options.benchmark_solver = BenchmarkSolverKind::kExact;
   Rng rng_a(1);
   Rng rng_b(1);
   auto default_arr = LpPacking(by_default, &rng_a, options);

@@ -1,5 +1,5 @@
 // End-to-end integration and property tests: generator -> admissible sets ->
-// benchmark LP (all three solver tiers) -> Algorithm 1 rounding -> validator,
+// benchmark LP (both solver tiers) -> Algorithm 1 rounding -> validator,
 // plus cross-algorithm feasibility sweeps on synthetic and Meetup-sim data.
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include "gen/meetup_sim.h"
 #include "gen/synthetic.h"
 #include "io/instance_io.h"
-#include "lp/solver.h"
+#include "lp/dense_simplex.h"
 
 namespace igepa {
 namespace {
@@ -51,8 +51,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FeasibilityProperty,
                          ::testing::Values(1, 7, 13, 42, 99, 123, 500, 777,
                                            2024, 31337));
 
-/// The three LP tiers must agree (exactly or within the certified gap) when
-/// plugged into the full benchmark-LP pipeline.
+/// The exact and structured LP tiers must agree within the structured
+/// solve's certified gap on the full benchmark-LP pipeline.
 TEST(PipelineTest, LpTiersAgreeOnBenchmarkLp) {
   Rng master(11);
   gen::SyntheticConfig config;
@@ -64,25 +64,21 @@ TEST(PipelineTest, LpTiersAgreeOnBenchmarkLp) {
   const auto catalog = core::AdmissibleCatalog::Build(*instance, {});
   const core::BenchmarkLp bench = core::BuildBenchmarkLp(*instance, catalog);
 
-  lp::LpSolverOptions dense;
-  dense.kind = lp::SolverKind::kDenseSimplex;
-  lp::LpSolverOptions revised;
-  revised.kind = lp::SolverKind::kRevisedSimplex;
-  lp::LpSolverOptions packing;
-  packing.kind = lp::SolverKind::kPackingDual;
-  packing.packing.target_gap = 0.01;
-  packing.packing.max_iterations = 30000;
-
-  auto a = lp::SolveLp(bench.model, dense);
-  auto b = lp::SolveLp(bench.model, revised);
-  auto c = lp::SolveLp(bench.model, packing);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_TRUE(c.ok());
-  EXPECT_NEAR(a->objective, b->objective, 1e-6 * std::max(1.0, a->objective));
-  EXPECT_GE(c->objective, 0.97 * a->objective);
-  EXPECT_LE(c->objective, a->objective + 1e-6);
-  EXPECT_GE(c->upper_bound, a->objective - 1e-6);
+  auto dense = lp::DenseSimplex().Solve(bench.model);
+  auto structured = core::SolveBenchmarkLpStructured(*instance, catalog, {});
+  ASSERT_TRUE(dense.ok());
+  ASSERT_TRUE(structured.ok());
+  ASSERT_EQ(dense->status, lp::SolveStatus::kOptimal);
+  // Weak duality brackets the exact optimum from both sides...
+  EXPECT_LE(structured->objective, dense->objective + 1e-6);
+  EXPECT_GE(structured->upper_bound, dense->objective - 1e-6);
+  // ...so the structured primal sits within its certified relative gap of
+  // it, and that gap met the solver's default 1% target.
+  EXPECT_EQ(structured->status, lp::SolveStatus::kApproximate);
+  const double gap = structured->RelativeGap();
+  EXPECT_LE(gap, 0.01);
+  EXPECT_GE(structured->objective, (1.0 - gap) * dense->objective - 1e-6);
+  EXPECT_LE(bench.model.MaxInfeasibility(structured->x), 1e-7);
 }
 
 TEST(PipelineTest, LpPackingFeasibleWithEveryTier) {
@@ -93,17 +89,19 @@ TEST(PipelineTest, LpPackingFeasibleWithEveryTier) {
   Rng gen_rng = master.Fork();
   auto instance = gen::GenerateSynthetic(config, &gen_rng);
   ASSERT_TRUE(instance.ok());
-  for (lp::SolverKind kind :
-       {lp::SolverKind::kDenseSimplex, lp::SolverKind::kRevisedSimplex,
-        lp::SolverKind::kPackingDual}) {
+  for (core::BenchmarkSolverKind kind :
+       {core::BenchmarkSolverKind::kAuto, core::BenchmarkSolverKind::kExact,
+        core::BenchmarkSolverKind::kStructuredDual}) {
+    SCOPED_TRACE(static_cast<int>(kind));
     Rng rng = master.Fork();
     core::LpPackingOptions options;
-    options.solver.kind = kind;
+    options.benchmark_solver = kind;
     core::LpPackingStats stats;
     auto result = core::LpPacking(*instance, &rng, options, &stats);
-    ASSERT_TRUE(result.ok()) << lp::SolverKindToString(kind);
-    EXPECT_TRUE(result->CheckFeasible(*instance).ok())
-        << lp::SolverKindToString(kind);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(stats.used_structured_dual,
+              kind == core::BenchmarkSolverKind::kStructuredDual);
+    EXPECT_TRUE(result->CheckFeasible(*instance).ok());
     EXPECT_GT(result->Utility(*instance), 0.0);
   }
 }

@@ -228,6 +228,15 @@ TEST(DenseSimplexTest, EmptyModel) {
   EXPECT_EQ(sol->objective, 0.0);
 }
 
+TEST(SolveStatusTest, NamesAreStable) {
+  EXPECT_STREQ(SolveStatusToString(SolveStatus::kOptimal), "Optimal");
+  EXPECT_STREQ(SolveStatusToString(SolveStatus::kApproximate), "Approximate");
+  EXPECT_STREQ(SolveStatusToString(SolveStatus::kInfeasible), "Infeasible");
+  EXPECT_STREQ(SolveStatusToString(SolveStatus::kUnbounded), "Unbounded");
+  EXPECT_STREQ(SolveStatusToString(SolveStatus::kIterationLimit),
+               "IterationLimit");
+}
+
 }  // namespace
 }  // namespace lp
 }  // namespace igepa

@@ -93,6 +93,13 @@ TEST(ArgParserTest, UsageListsAllFlags) {
   EXPECT_NE(usage.find("--rate"), std::string::npos);
   EXPECT_NE(usage.find("--verbose"), std::string::npos);
   EXPECT_NE(usage.find("default 7"), std::string::npos);
+
+  // Parsed values must not leak into the listed defaults.
+  ArgParser parsed = MakeParser();
+  ASSERT_TRUE(parsed.Parse({"--name=other", "--count=8", "--rate=0.25",
+                            "--verbose"})
+                  .ok());
+  EXPECT_EQ(parsed.Usage(), usage);
 }
 
 }  // namespace
