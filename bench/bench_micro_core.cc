@@ -457,7 +457,7 @@ void BM_ShardedSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedSolve)->Arg(2000)->Unit(benchmark::kMillisecond);
 
-// The same 4-shard solve with catalogs spilled to the igepa-cat,1 file and a
+// The same 4-shard solve with catalogs spilled to the igepa-cat,2 file and a
 // pathological one-shard residency budget — every shard acquisition evicts,
 // so the tracked trajectory prices the worst-case mmap/munmap overhead of
 // the budgeted path against BM_ShardedSolve's in-memory row.

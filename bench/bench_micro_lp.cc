@@ -73,19 +73,6 @@ void BM_BuildBenchmarkLp(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildBenchmarkLp)->Arg(500)->Arg(2000);
 
-void BM_BuildBenchmarkLpFromCatalog(benchmark::State& state) {
-  Rng rng(7);
-  gen::SyntheticConfig config;
-  config.num_users = static_cast<int32_t>(state.range(0));
-  auto instance = gen::GenerateSynthetic(config, &rng);
-  const auto catalog = core::AdmissibleCatalog::Build(*instance, {});
-  for (auto _ : state) {
-    auto bench = core::BuildBenchmarkLp(*instance, catalog);
-    benchmark::DoNotOptimize(bench);
-  }
-}
-BENCHMARK(BM_BuildBenchmarkLpFromCatalog)->Arg(500)->Arg(2000);
-
 }  // namespace
 
 BENCHMARK_MAIN();

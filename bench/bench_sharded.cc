@@ -1,4 +1,4 @@
-// Scale benchmark for the two-level sharded solver over the igepa-bin,3
+// Scale benchmark for the two-level sharded solver over the igepa-bin,4
 // memory-mapped path: generate a synthetic instance straight to binary
 // (bounded memory), materialize it through an InstanceView and run
 // ShardedSolve end to end. Default args cover 20k and 100k users; the
@@ -79,7 +79,7 @@ void BM_ShardedSolve(benchmark::State& state) {
 }
 
 /// Same instance and solve as BM_ShardedSolve, but catalogs spill to the
-/// per-run igepa-cat,1 file and level 2 runs on mmapped views under a
+/// per-run igepa-cat,2 file and level 2 runs on mmapped views under a
 /// residency budget sized to roughly half the shard catalogs — in-memory vs
 /// budgeted at the same size is the spill overhead, tracked by
 /// bench_compare.py alongside the in-memory rows.

@@ -3,7 +3,7 @@
 # million-user-scale pipeline end to end at a CI-sized 100k users:
 #
 #   1. `igepa generate --binary` streams a 100k-user instance straight into
-#      the igepa-bin,3 memory-mapped format (bounded-memory generator);
+#      the igepa-bin,4 memory-mapped format (bounded-memory generator);
 #   2. `igepa solve --sharded` runs the two-level sharded solver on it (the
 #      default shard width splits 100k users into 13 shards);
 #   3. the same instance is solved again with --shards 1 (one catalog, the
@@ -14,7 +14,7 @@
 #      second solve must reproduce the first bit-for-bit when repeated
 #      (determinism at the process level);
 #   5. the solve runs again with --memory-budget-mb (default 8, override via
-#      SCALE_BUDGET_MB): catalogs spill to the igepa-cat,1 file, level 2 runs
+#      SCALE_BUDGET_MB): catalogs spill to the igepa-cat,2 file, level 2 runs
 #      on mmapped views under the residency manager, and the arrangement must
 #      be byte-identical to the unbudgeted run — eviction and repage are
 #      bit-invisible. When SCALE_VCAP_MB is set the budgeted solve runs under
@@ -38,12 +38,12 @@ trap 'rm -rf "$work"' EXIT
 
 now_ms() { date +%s%3N; }
 
-echo "== generate: $users users straight to igepa-bin,3"
+echo "== generate: $users users straight to igepa-bin,4"
 t0=$(now_ms)
 "$igepa" generate --kind synthetic --events 200 --users "$users" --seed 1 \
   --binary --out "$work/instance.bin" | tee "$work/gen.log"
 t_generate=$(( $(now_ms) - t0 ))
-grep -q "igepa-bin,3" "$work/gen.log" || {
+grep -q "igepa-bin,4" "$work/gen.log" || {
   echo "FAIL: generator did not report the binary format" >&2
   exit 1
 }

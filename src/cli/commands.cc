@@ -58,7 +58,7 @@ Status ApplyKernelFlag(const ArgParser& parser, core::Instance* instance) {
 }
 
 /// Loads an instance from either on-disk format, auto-detected by magic:
-/// `igepa-bin,3` files open through the mmap view (FORMATS.md §8) and
+/// `igepa-bin,4` files open through the mmap view (FORMATS.md §8) and
 /// materialize without ever allocating a dense interest table; anything else
 /// goes through the CSV reader. Every instance-consuming subcommand routes
 /// here, so binary instances work wherever CSV ones do.
@@ -79,7 +79,7 @@ int CmdGenerate(const std::vector<std::string>& args, std::ostream& out,
   parser.AddString("kind", "synthetic", "generator: synthetic | meetup");
   parser.AddString("out", "", "output path (required)");
   parser.AddBool("binary", false,
-                 "stream an igepa-bin,3 binary instance (FORMATS.md §8) "
+                 "stream an igepa-bin,4 binary instance (FORMATS.md §8) "
                  "instead of CSV — bounded memory at any |U| (synthetic "
                  "only)");
   parser.AddInt("seed", 20190408, "random seed");
@@ -123,7 +123,7 @@ int CmdGenerate(const std::vector<std::string>& args, std::ostream& out,
       auto written = gen::GenerateSyntheticBinary(config, &rng, kernel_id,
                                                   parser.GetString("out"));
       if (!written.ok()) return Fail(err, written.status());
-      out << "wrote " << parser.GetString("out") << ": igepa-bin,3, "
+      out << "wrote " << parser.GetString("out") << ": igepa-bin,4, "
           << config.num_events << " events, " << config.num_users
           << " users, " << written->num_bids << " bids, "
           << written->num_conflicts << " conflicts [" << kernel_id << "]\n";
@@ -168,7 +168,7 @@ int CmdGenerate(const std::vector<std::string>& args, std::ostream& out,
 int CmdSolve(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
   ArgParser parser("igepa solve", "arrange an instance CSV");
-  parser.AddString("in", "", "instance path, CSV or igepa-bin,3 (required)");
+  parser.AddString("in", "", "instance path, CSV or igepa-bin,4 (required)");
   parser.AddString("out", "", "optional arrangement CSV output path");
   parser.AddString("algorithm", "lp-packing",
                    "lp-packing | gg | gbs | random-u | random-v | online");
@@ -189,7 +189,7 @@ int CmdSolve(const std::vector<std::string>& args, std::ostream& out,
   parser.AddInt("memory-budget-mb", 0,
                 "sharded solve: catalog residency budget in MB (0 = keep "
                 "all shard catalogs in RAM). When set, catalogs spill to a "
-                "per-run igepa-cat,1 file after level 1 and level 2 runs on "
+                "per-run igepa-cat,2 file after level 1 and level 2 runs on "
                 "mmapped views under an LRU manager, bounding peak catalog "
                 "RSS by (budget + one shard); results are byte-identical "
                 "for any budget");
@@ -324,7 +324,7 @@ int CmdEvaluate(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
   ArgParser parser("igepa evaluate",
                    "check an arrangement against an instance");
-  parser.AddString("in", "", "instance path, CSV or igepa-bin,3 (required)");
+  parser.AddString("in", "", "instance path, CSV or igepa-bin,4 (required)");
   parser.AddString("arrangement", "", "arrangement CSV path (required)");
   parser.AddString("kernel", "", kKernelHelp);
   parser.AddBool("help", false, "show this help");
@@ -367,7 +367,7 @@ int CmdEvaluate(const std::vector<std::string>& args, std::ostream& out,
 int CmdDescribe(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
   ArgParser parser("igepa describe", "print instance statistics");
-  parser.AddString("in", "", "instance path, CSV or igepa-bin,3 (required)");
+  parser.AddString("in", "", "instance path, CSV or igepa-bin,4 (required)");
   parser.AddBool("help", false, "show this help");
   if (Status s = parser.Parse(args); !s.ok()) return Fail(err, s);
   if (parser.GetBool("help")) {
@@ -399,7 +399,7 @@ int CmdConvert(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err) {
   ArgParser parser("igepa convert",
                    "convert an instance between CSV (FORMATS.md §1) and the "
-                   "igepa-bin,3 memory-mapped binary format (§8); direction "
+                   "igepa-bin,4 memory-mapped binary format (§8); direction "
                    "is auto-detected from the input's magic");
   parser.AddString("in", "", "input instance path (required)");
   parser.AddString("out", "", "output instance path (required)");
@@ -1017,7 +1017,7 @@ constexpr Command kCommands[] = {
     {"solve", "arrange an instance CSV and report utility", CmdSolve},
     {"evaluate", "check an arrangement against an instance", CmdEvaluate},
     {"describe", "print instance statistics", CmdDescribe},
-    {"convert", "convert an instance between CSV and igepa-bin,3 binary",
+    {"convert", "convert an instance between CSV and igepa-bin,4 binary",
      CmdConvert},
     {"replay",
      "stream deltas through the incremental engine, warm vs cold per tick",

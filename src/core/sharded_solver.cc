@@ -22,6 +22,7 @@
 #include "core/shard_residency.h"
 #include "core/utility_kernel.h"
 #include "io/catalog_spill.h"
+#include "io/section_file.h"
 #include "util/thread_pool.h"
 
 namespace igepa {
@@ -524,17 +525,9 @@ Result<Arrangement> ShardedSolve(const Instance& instance, Rng* rng,
                              polish_path);
     }
     ::unlink(polish_path.c_str());
-    const auto* bytes = reinterpret_cast<const uint8_t*>(image.data());
-    const size_t total = image.size() * sizeof(int32_t);
-    size_t written = 0;
-    while (written < total) {
-      const ssize_t n = ::write(polish.fd, bytes + written, total - written);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError("polish stream write failed");
-      }
-      written += static_cast<size_t>(n);
-    }
+    IGEPA_RETURN_IF_ERROR(io::WriteFully(polish.fd, image.data(),
+                                         image.size() * sizeof(int32_t),
+                                         polish_path));
     polish_reader.emplace(polish.fd);
   }
 

@@ -53,7 +53,7 @@ struct ShardedSolveOptions {
   ThreadPool* workers = nullptr;
   /// Catalog residency budget in bytes (0 = keep every shard catalog in RAM,
   /// the classic path). When set, each shard's catalog spills once into a
-  /// per-run `igepa-cat,1` file right after its level-1 warm solve and is
+  /// per-run `igepa-cat,2` file right after its level-1 warm solve and is
   /// dropped from RAM; level 2 and the global legalize sweep run on mmapped
   /// CatalogView lanes under an LRU ShardResidency manager, so peak catalog
   /// RSS is bounded by (budget + one shard's footprint). Must be at least the
@@ -89,7 +89,7 @@ struct ShardedSolveStats {
   int32_t pairs_repaired = 0;
   /// Residency diagnostics — populated only on budgeted runs
   /// (memory_budget_bytes > 0), all zero otherwise.
-  uint64_t spill_bytes = 0;            ///< total igepa-cat,1 section payload
+  uint64_t spill_bytes = 0;            ///< total igepa-cat,2 section payload
   uint64_t shard_footprint_bytes = 0;  ///< largest single shard's section
   uint64_t page_ins = 0;               ///< sections mapped (first map + repage)
   uint64_t evictions = 0;              ///< sections unmapped to honor budget

@@ -18,7 +18,7 @@ struct StreamingGenStats {
 };
 
 /// Generates a synthetic instance per the §IV protocol straight into an
-/// `igepa-bin,3` file (io::BinaryInstanceWriter) in bounded memory: peak RSS
+/// `igepa-bin,4` file (io::BinaryInstanceWriter) in bounded memory: peak RSS
 /// depends on |V| (conflict matrix, neighbour lists) and writer buffering but
 /// NOT on |U| — the path that synthesizes million-user instances.
 ///

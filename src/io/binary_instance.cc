@@ -1,16 +1,12 @@
 #include "io/binary_instance.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "conflict/conflict.h"
@@ -18,7 +14,6 @@
 #include "graph/interaction_model.h"
 #include "interest/interest.h"
 #include "io/instance_io.h"
-#include "util/crc32.h"
 #include "util/string_util.h"
 
 namespace igepa {
@@ -29,99 +24,48 @@ using core::UserId;
 
 namespace {
 
-constexpr char kMagic[8] = {'i', 'g', 'e', 'p', 'a', 'b', 'i', 'n'};
-constexpr uint32_t kVersion = 3;
-/// Trailer end-marker ("IGB3" little-endian) behind the CRC word: a file cut
-/// mid-CRC-write still fails loudly instead of validating a torn trailer.
-constexpr uint32_t kTrailerMagic = 0x33424749;
-constexpr uint64_t kHeaderSize = 64;
-constexpr size_t kCursorFlushBytes = 1u << 20;
-/// Sanity bound on the header's kernel-id length: ids are short strings, so
-/// anything larger is a corrupt length field, not a real kernel.
-constexpr uint32_t kMaxKernelIdBytes = 4096;
+constexpr SectionFormat kFormat{"igepabin", 4, "igepa-bin,4"};
+/// Sanity bound on the kernel-id length: ids are short strings, so anything
+/// larger is a corrupt length, not a real kernel.
+constexpr uint64_t kMaxKernelIdBytes = 4096;
+/// Counts above this cannot describe a file that fits any disk; refusing
+/// them first keeps every size product below in range.
+constexpr uint64_t kMaxCount = uint64_t{1} << 40;
 
-uint64_t Align8(uint64_t n) { return (n + 7u) & ~uint64_t{7}; }
-
-void PutU32(char* p, uint32_t v) {
-  p[0] = static_cast<char>(v);
-  p[1] = static_cast<char>(v >> 8);
-  p[2] = static_cast<char>(v >> 16);
-  p[3] = static_cast<char>(v >> 24);
-}
-
-void PutU64(char* p, uint64_t v) {
-  PutU32(p, static_cast<uint32_t>(v));
-  PutU32(p + 4, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const unsigned char* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t GetU64(const unsigned char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         (static_cast<uint64_t>(GetU32(p + 4)) << 32);
-}
-
-Status WriteFullyAt(int fd, const void* data, size_t size, uint64_t offset,
-                    const std::string& path) {
-  const char* p = static_cast<const char*>(data);
-  size_t remaining = size;
-  uint64_t off = offset;
-  while (remaining > 0) {
-    const ssize_t n = ::pwrite(fd, p, remaining, static_cast<off_t>(off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("pwrite failed on " + path + ": " +
-                             std::strerror(errno));
-    }
-    p += n;
-    off += static_cast<uint64_t>(n);
-    remaining -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-/// Section layout: offsets are a pure function of the header counts. Every
-/// section starts 8-byte aligned (int32 sections are padded with zeros).
-struct Layout {
-  uint64_t kernel_off, event_off, ucap_off, boff_off, pool_off, intr_off,
-      deg_off, conf_off, trailer_off, file_size;
-
-  static Layout Of(int32_t nv, int32_t nu, int64_t nbids, int64_t nconf,
-                   uint32_t kernel_len) {
-    Layout l;
-    l.kernel_off = kHeaderSize;
-    l.event_off = l.kernel_off + Align8(kernel_len);
-    l.ucap_off = l.event_off + Align8(static_cast<uint64_t>(nv) * 4);
-    l.boff_off = l.ucap_off + Align8(static_cast<uint64_t>(nu) * 4);
-    l.pool_off = l.boff_off + (static_cast<uint64_t>(nu) + 1) * 8;
-    l.intr_off = l.pool_off + Align8(static_cast<uint64_t>(nbids) * 4);
-    l.deg_off = l.intr_off + static_cast<uint64_t>(nbids) * 8;
-    l.conf_off = l.deg_off + static_cast<uint64_t>(nu) * 8;
-    l.trailer_off = l.conf_off + static_cast<uint64_t>(nconf) * 8;
-    l.file_size = l.trailer_off + 8;
-    return l;
-  }
+/// The instance sections, in file order (offsets from the first one).
+enum InstanceSection : int32_t {
+  kMeta,       // f64 β, kernel id; counts = {|V|, |U|, bids, conflicts}
+  kEventCap,   // i32[|V|]
+  kUserCap,    // i32[|U|]
+  kBidOff,     // i64[|U| + 1]
+  kBidPool,    // i32[bids]
+  kInterest,   // f64[bids], or f64[|V|·|U|] event-major when dense
+  kDegree,     // f64[|U|]
+  kConflicts,  // i32[2·conflicts], (a, b) pairs ascending
 };
+
+/// The meta section's counts: {|V|, |U|, bids, conflicts}.
+using Counts = std::array<uint64_t, kSectionCounts>;
+
+std::array<uint64_t, kInstanceSections> SectionBytes(const Counts& counts,
+                                                     uint64_t meta_bytes,
+                                                     bool dense_interest) {
+  const auto [nv, nu, nb, nc] = counts;
+  return {meta_bytes, nv * 4, nu * 4, (nu + 1) * 8, nb * 4,
+          (dense_interest ? nv * nu : nb) * 8, nu * 8, nc * 8};
+}
+
+bool InUnit(double x) { return x >= 0.0 && x <= 1.0; }
 
 }  // namespace
 
 // ---- BinaryInstanceWriter ---------------------------------------------------
 
 struct BinaryInstanceWriter::Impl {
-  struct Cursor {
-    uint64_t next_off = 0;  // file offset of the next flushed byte
-    std::string buf;
-  };
-
-  std::string path;
-  int fd = -1;
+  std::optional<SectionFileWriter> owned;  // Create()'d writers own the file
   BinaryInstanceHeader header;
-  Layout layout;
-  Cursor events, ucaps, boffs, pools, intrs, degs, confs;
+  bool dense_interest = false;
+  std::array<SectionSink, kInstanceSections> sinks;
   int64_t events_added = 0;
   int64_t users_added = 0;
   int64_t bids_added = 0;
@@ -129,43 +73,18 @@ struct BinaryInstanceWriter::Impl {
   EventId last_conflict_a = -1;
   EventId last_conflict_b = -1;
   bool finished = false;
-  /// First IO failure; later Add calls short-circuit on it so a caller that
-  /// only checks Finish() still sees the original error.
-  Status deferred;
 
-  ~Impl() {
-    if (fd >= 0) ::close(fd);
+  SectionSink& sink(InstanceSection s) {
+    return sinks[static_cast<size_t>(s)];
   }
 
-  Status Flush(Cursor* c) {
-    if (c->buf.empty()) return Status::OK();
-    IGEPA_RETURN_IF_ERROR(
-        WriteFullyAt(fd, c->buf.data(), c->buf.size(), c->next_off, path));
-    c->next_off += c->buf.size();
-    c->buf.clear();
+  /// The first IO failure; Add calls return it so a caller that only checks
+  /// Finish() still sees the original error.
+  Status Deferred() const {
+    for (const SectionSink& s : sinks) {
+      if (!s.status().ok()) return s.status();
+    }
     return Status::OK();
-  }
-
-  void Append(Cursor* c, const char* data, size_t size) {
-    if (!deferred.ok()) return;
-    c->buf.append(data, size);
-    if (c->buf.size() >= kCursorFlushBytes) deferred = Flush(c);
-  }
-
-  void AppendU32(Cursor* c, uint32_t v) {
-    char b[4];
-    PutU32(b, v);
-    Append(c, b, 4);
-  }
-
-  void AppendU64(Cursor* c, uint64_t v) {
-    char b[8];
-    PutU64(b, v);
-    Append(c, b, 8);
-  }
-
-  void AppendF64(Cursor* c, double v) {
-    AppendU64(c, std::bit_cast<uint64_t>(v));
   }
 };
 
@@ -177,84 +96,55 @@ BinaryInstanceWriter& BinaryInstanceWriter::operator=(
     BinaryInstanceWriter&&) noexcept = default;
 BinaryInstanceWriter::~BinaryInstanceWriter() = default;
 
-Result<BinaryInstanceWriter> BinaryInstanceWriter::Create(
-    const std::string& path, const BinaryInstanceHeader& header) {
-  if (header.num_events < 0 || header.num_users < 0 || header.num_bids < 0 ||
-      header.num_conflicts < 0) {
+Result<BinaryInstanceWriter> BinaryInstanceWriter::Begin(
+    std::unique_ptr<Impl> impl, SectionFileWriter* file) {
+  const BinaryInstanceHeader& h = impl->header;
+  if (h.num_events < 0 || h.num_users < 0 || h.num_bids < 0 ||
+      h.num_conflicts < 0) {
     return Status::InvalidArgument("binary instance counts must be >= 0");
   }
-  if (header.beta < 0.0 || header.beta > 1.0 || !std::isfinite(header.beta)) {
-    return Status::InvalidArgument("beta must be in [0, 1]");
-  }
-  if (header.kernel_id.empty() || header.kernel_id.size() > kMaxKernelIdBytes) {
+  if (!InUnit(h.beta)) return Status::InvalidArgument("beta must be in [0, 1]");
+  if (h.kernel_id.empty() || h.kernel_id.size() > kMaxKernelIdBytes) {
     return Status::InvalidArgument("kernel id must be non-empty and short");
   }
-  auto impl = std::make_unique<Impl>();
-  impl->path = path;
-  impl->header = header;
-  impl->layout =
-      Layout::Of(header.num_events, header.num_users, header.num_bids,
-                 header.num_conflicts,
-                 static_cast<uint32_t>(header.kernel_id.size()));
-  // O_RDWR, not O_WRONLY: Finish() reads the file back for the CRC sweep.
-  impl->fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (impl->fd < 0) {
-    return Status::IOError("cannot create " + path + ": " +
-                           std::strerror(errno));
+  const Counts counts = {static_cast<uint64_t>(h.num_events),
+                         static_cast<uint64_t>(h.num_users),
+                         static_cast<uint64_t>(h.num_bids),
+                         static_cast<uint64_t>(h.num_conflicts)};
+  const auto bytes =
+      SectionBytes(counts, 8 + h.kernel_id.size(), impl->dense_interest);
+  for (int32_t s = 0; s < kInstanceSections; ++s) {
+    IGEPA_ASSIGN_OR_RETURN(
+        impl->sinks[static_cast<size_t>(s)],
+        file->Reserve(bytes[static_cast<size_t>(s)],
+                      s == kMeta ? counts : Counts{}));
   }
-
-  // Header + kernel id + the (<= 7-byte) inter-section alignment pads, all of
-  // which are known now. Everything after is cursor-streamed.
-  char head[kHeaderSize] = {};
-  std::memcpy(head, kMagic, sizeof(kMagic));
-  PutU32(head + 8, kVersion);
-  PutU32(head + 12, static_cast<uint32_t>(header.kernel_id.size()));
-  PutU32(head + 16, static_cast<uint32_t>(header.num_events));
-  PutU32(head + 20, static_cast<uint32_t>(header.num_users));
-  PutU64(head + 24, static_cast<uint64_t>(header.num_bids));
-  PutU64(head + 32, static_cast<uint64_t>(header.num_conflicts));
-  PutU64(head + 40, std::bit_cast<uint64_t>(header.beta));
-  IGEPA_RETURN_IF_ERROR(WriteFullyAt(impl->fd, head, kHeaderSize, 0, path));
-  IGEPA_RETURN_IF_ERROR(WriteFullyAt(impl->fd, header.kernel_id.data(),
-                                     header.kernel_id.size(),
-                                     impl->layout.kernel_off, path));
-  const Layout& l = impl->layout;
-  const uint64_t pad_from[] = {l.kernel_off + header.kernel_id.size(),
-                               l.event_off + static_cast<uint64_t>(
-                                                 header.num_events) * 4,
-                               l.ucap_off +
-                                   static_cast<uint64_t>(header.num_users) * 4,
-                               l.pool_off +
-                                   static_cast<uint64_t>(header.num_bids) * 4};
-  const uint64_t pad_to[] = {l.event_off, l.ucap_off, l.boff_off, l.intr_off};
-  const char zeros[8] = {};
-  for (int i = 0; i < 4; ++i) {
-    if (pad_to[i] > pad_from[i]) {
-      IGEPA_RETURN_IF_ERROR(WriteFullyAt(
-          impl->fd, zeros, pad_to[i] - pad_from[i], pad_from[i], path));
-    }
-  }
-
-  impl->events.next_off = l.event_off;
-  impl->ucaps.next_off = l.ucap_off;
-  impl->boffs.next_off = l.boff_off;
-  impl->pools.next_off = l.pool_off;
-  impl->intrs.next_off = l.intr_off;
-  impl->degs.next_off = l.deg_off;
-  impl->confs.next_off = l.conf_off;
+  SectionSink& meta = impl->sink(kMeta);
+  meta.WriteValue(h.beta);
+  meta.Write(h.kernel_id.data(), h.kernel_id.size());
+  IGEPA_RETURN_IF_ERROR(meta.Finish());
   return BinaryInstanceWriter(std::move(impl));
+}
+
+Result<BinaryInstanceWriter> BinaryInstanceWriter::Create(
+    const std::string& path, const BinaryInstanceHeader& header) {
+  auto impl = std::make_unique<Impl>();
+  impl->header = header;
+  IGEPA_ASSIGN_OR_RETURN(impl->owned, SectionFileWriter::Create(path, kFormat));
+  SectionFileWriter* file = &*impl->owned;
+  return Begin(std::move(impl), file);
 }
 
 Status BinaryInstanceWriter::AddEvent(int32_t capacity) {
   Impl* w = impl_.get();
-  if (!w->deferred.ok()) return w->deferred;
+  IGEPA_RETURN_IF_ERROR(w->Deferred());
   if (w->events_added >= w->header.num_events) {
     return Status::InvalidArgument("more events than the header declares");
   }
   if (capacity < 0) return Status::InvalidArgument("event capacity < 0");
-  w->AppendU32(&w->events, static_cast<uint32_t>(capacity));
+  w->sink(kEventCap).WriteValue(capacity);
   ++w->events_added;
-  return w->deferred;
+  return w->Deferred();
 }
 
 Status BinaryInstanceWriter::AddUser(int32_t capacity,
@@ -262,12 +152,12 @@ Status BinaryInstanceWriter::AddUser(int32_t capacity,
                                      std::span<const double> interest,
                                      double degree) {
   Impl* w = impl_.get();
-  if (!w->deferred.ok()) return w->deferred;
+  IGEPA_RETURN_IF_ERROR(w->Deferred());
   if (w->users_added >= w->header.num_users) {
     return Status::InvalidArgument("more users than the header declares");
   }
   if (capacity < 0) return Status::InvalidArgument("user capacity < 0");
-  if (bids.size() != interest.size()) {
+  if (!w->dense_interest && bids.size() != interest.size()) {
     return Status::InvalidArgument("one interest value per bid required");
   }
   if (w->bids_added + static_cast<int64_t>(bids.size()) >
@@ -281,29 +171,29 @@ Status BinaryInstanceWriter::AddUser(int32_t capacity,
       return Status::InvalidArgument(
           "user bids must be strictly ascending event ids in range");
     }
-    if (!(interest[i] >= 0.0 && interest[i] <= 1.0)) {
+    if (!w->dense_interest && !InUnit(interest[i])) {
       return Status::InvalidArgument("interest values must be in [0, 1]");
     }
     prev = v;
   }
-  if (!(degree >= 0.0 && degree <= 1.0)) {
+  if (!InUnit(degree)) {
     return Status::InvalidArgument("degree must be in [0, 1]");
   }
-  w->AppendU32(&w->ucaps, static_cast<uint32_t>(capacity));
-  w->AppendU64(&w->boffs, static_cast<uint64_t>(w->bids_added));
-  for (size_t i = 0; i < bids.size(); ++i) {
-    w->AppendU32(&w->pools, static_cast<uint32_t>(bids[i]));
-    w->AppendF64(&w->intrs, interest[i]);
+  w->sink(kUserCap).WriteValue(capacity);
+  w->sink(kBidOff).WriteValue(w->bids_added);
+  w->sink(kBidPool).Write(bids.data(), bids.size() * sizeof(EventId));
+  if (!w->dense_interest) {
+    w->sink(kInterest).Write(interest.data(), interest.size() * sizeof(double));
   }
-  w->AppendF64(&w->degs, degree);
+  w->sink(kDegree).WriteValue(degree);
   w->bids_added += static_cast<int64_t>(bids.size());
   ++w->users_added;
-  return w->deferred;
+  return w->Deferred();
 }
 
 Status BinaryInstanceWriter::AddConflict(EventId a, EventId b) {
   Impl* w = impl_.get();
-  if (!w->deferred.ok()) return w->deferred;
+  IGEPA_RETURN_IF_ERROR(w->Deferred());
   if (w->conflicts_added >= w->header.num_conflicts) {
     return Status::InvalidArgument("more conflicts than the header declares");
   }
@@ -315,19 +205,19 @@ Status BinaryInstanceWriter::AddConflict(EventId a, EventId b) {
     return Status::InvalidArgument(
         "conflict pairs must be strictly ascending lexicographically");
   }
-  w->AppendU32(&w->confs, static_cast<uint32_t>(a));
-  w->AppendU32(&w->confs, static_cast<uint32_t>(b));
+  const EventId pair[2] = {a, b};
+  w->sink(kConflicts).Write(pair, sizeof(pair));
   w->last_conflict_a = a;
   w->last_conflict_b = b;
   ++w->conflicts_added;
-  return w->deferred;
+  return w->Deferred();
 }
 
 Status BinaryInstanceWriter::Finish() {
   Impl* w = impl_.get();
   if (w->finished) return Status::FailedPrecondition("Finish called twice");
   w->finished = true;
-  if (!w->deferred.ok()) return w->deferred;
+  IGEPA_RETURN_IF_ERROR(w->Deferred());
   if (w->events_added != w->header.num_events ||
       w->users_added != w->header.num_users ||
       w->bids_added != w->header.num_bids ||
@@ -336,189 +226,213 @@ Status BinaryInstanceWriter::Finish() {
         "record counts do not match the declared header counts");
   }
   // Close the bid-offset section: boff[num_users] = num_bids.
-  w->AppendU64(&w->boffs, static_cast<uint64_t>(w->bids_added));
-  for (Impl::Cursor* c : {&w->events, &w->ucaps, &w->boffs, &w->pools,
-                          &w->intrs, &w->degs, &w->confs}) {
-    IGEPA_RETURN_IF_ERROR(w->Flush(c));
+  w->sink(kBidOff).WriteValue(w->bids_added);
+  for (int32_t s = kEventCap; s < kInstanceSections; ++s) {
+    IGEPA_RETURN_IF_ERROR(w->sinks[static_cast<size_t>(s)].Finish());
   }
-  // CRC sweep over everything before the trailer, then the trailer itself.
-  uint32_t crc = 0;
-  uint64_t off = 0;
-  char buf[1 << 16];
-  while (off < w->layout.trailer_off) {
-    const size_t want = static_cast<size_t>(
-        std::min<uint64_t>(sizeof(buf), w->layout.trailer_off - off));
-    const ssize_t n = ::pread(w->fd, buf, want, static_cast<off_t>(off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("pread failed on " + w->path + ": " +
-                             std::strerror(errno));
+  if (!w->owned) return Status::OK();
+  IGEPA_RETURN_IF_ERROR(w->owned->Seal());
+  return w->owned->Close(/*sync=*/false);
+}
+
+Status AppendInstanceSections(const core::Instance& instance,
+                              bool dense_interest, SectionFileWriter* file) {
+  const int32_t nv = instance.num_events();
+  const int32_t nu = instance.num_users();
+  auto impl = std::make_unique<BinaryInstanceWriter::Impl>();
+  impl->dense_interest = dense_interest;
+  BinaryInstanceHeader& header = impl->header;
+  header.num_events = nv;
+  header.num_users = nu;
+  header.num_bids = instance.TotalBids();
+  header.beta = instance.beta();
+  header.kernel_id = instance.kernel().id();
+  for (EventId a = 0; a < nv; ++a) {
+    for (EventId b = a + 1; b < nv; ++b) {
+      if (instance.Conflicts(a, b)) ++header.num_conflicts;
     }
-    if (n == 0) {
-      return Status::IOError("short file during CRC sweep: " + w->path);
+  }
+  IGEPA_ASSIGN_OR_RETURN(BinaryInstanceWriter writer,
+                         BinaryInstanceWriter::Begin(std::move(impl), file));
+  for (EventId v = 0; v < nv; ++v) {
+    IGEPA_RETURN_IF_ERROR(writer.AddEvent(instance.event_capacity(v)));
+  }
+  std::vector<double> interest;
+  for (UserId u = 0; u < nu; ++u) {
+    const std::vector<EventId>& bids = instance.bids(u);
+    interest.clear();
+    if (!dense_interest) {
+      for (EventId v : bids) interest.push_back(instance.Interest(v, u));
     }
-    crc = Crc32Update(crc, buf, static_cast<size_t>(n));
-    off += static_cast<uint64_t>(n);
+    IGEPA_RETURN_IF_ERROR(writer.AddUser(instance.user_capacity(u), bids,
+                                         interest, instance.Degree(u)));
   }
-  char trailer[8];
-  PutU32(trailer, crc);
-  PutU32(trailer + 4, kTrailerMagic);
-  IGEPA_RETURN_IF_ERROR(
-      WriteFullyAt(w->fd, trailer, 8, w->layout.trailer_off, w->path));
-  if (::close(w->fd) != 0) {
-    w->fd = -1;
-    return Status::IOError("close failed on " + w->path + ": " +
-                           std::strerror(errno));
+  if (dense_interest) {
+    std::vector<double> row(static_cast<size_t>(nu));  // one event's values
+    for (EventId v = 0; v < nv; ++v) {
+      for (UserId u = 0; u < nu; ++u) {
+        row[static_cast<size_t>(u)] = instance.Interest(v, u);
+        if (!InUnit(row[static_cast<size_t>(u)])) {
+          return Status::InvalidArgument("interest values must be in [0, 1]");
+        }
+      }
+      writer.impl_->sink(kInterest).Write(row.data(),
+                                          row.size() * sizeof(double));
+    }
   }
-  w->fd = -1;
-  return Status::OK();
+  for (EventId a = 0; a < nv; ++a) {
+    for (EventId b = a + 1; b < nv; ++b) {
+      if (instance.Conflicts(a, b)) {
+        IGEPA_RETURN_IF_ERROR(writer.AddConflict(a, b));
+      }
+    }
+  }
+  return writer.Finish();
+}
+
+Result<core::Instance> ReadInstanceSections(const SectionFile& file,
+                                            int32_t first) {
+  InstanceView view;
+  IGEPA_RETURN_IF_ERROR(view.Decode(file, first, /*dense_interest=*/true));
+  const int32_t nv = view.num_events();
+  const int32_t nu = view.num_users();
+  auto kernel = core::MakeUtilityKernel(view.kernel_id());
+  if (!kernel.ok()) return file.Refuse(kernel.status().message());
+  std::vector<core::EventDef> events(static_cast<size_t>(nv));
+  for (EventId v = 0; v < nv; ++v) {
+    events[static_cast<size_t>(v)].capacity = view.event_capacity(v);
+  }
+  std::vector<core::UserDef> users(static_cast<size_t>(nu));
+  for (UserId u = 0; u < nu; ++u) {
+    users[static_cast<size_t>(u)].capacity = view.user_capacity(u);
+    const auto bids = view.bids(u);
+    users[static_cast<size_t>(u)].bids.assign(bids.begin(), bids.end());
+  }
+  auto interest = std::make_shared<interest::TableInterest>(nv, nu);
+  for (EventId v = 0; v < nv; ++v) {
+    for (UserId u = 0; u < nu; ++u) {
+      interest->Set(v, u, view.interest_[static_cast<int64_t>(v) * nu + u]);
+    }
+  }
+  auto conflicts = std::make_shared<conflict::MatrixConflict>(nv);
+  for (int64_t i = 0; i < view.num_conflicts(); ++i) {
+    conflicts->Set(view.conflicts_[2 * i], view.conflicts_[2 * i + 1]);
+  }
+  core::Instance instance(
+      std::move(events), std::move(users), std::move(conflicts),
+      std::move(interest),
+      std::make_shared<graph::TableInteractionModel>(
+          std::vector<double>(view.degree_, view.degree_ + nu)),
+      view.beta());
+  instance.set_kernel(std::move(*kernel));
+  if (Status s = instance.Validate(); !s.ok()) return file.Refuse(s.message());
+  return instance;
 }
 
 // ---- InstanceView -----------------------------------------------------------
 
-InstanceView::InstanceView(InstanceView&& other) noexcept { *this = std::move(other); }
-
-InstanceView& InstanceView::operator=(InstanceView&& other) noexcept {
-  if (this != &other) {
-    if (map_ != nullptr) ::munmap(map_, map_size_);
-    map_ = std::exchange(other.map_, nullptr);
-    map_size_ = std::exchange(other.map_size_, 0);
-    num_events_ = other.num_events_;
-    num_users_ = other.num_users_;
-    num_bids_ = other.num_bids_;
-    num_conflicts_ = other.num_conflicts_;
-    beta_ = other.beta_;
-    kernel_id_ = std::move(other.kernel_id_);
-    event_cap_ = other.event_cap_;
-    user_cap_ = other.user_cap_;
-    bid_off_ = other.bid_off_;
-    pool_ = other.pool_;
-    interest_ = other.interest_;
-    degree_ = other.degree_;
-    conflicts_ = other.conflicts_;
-  }
-  return *this;
-}
-
-InstanceView::~InstanceView() {
-  if (map_ != nullptr) ::munmap(map_, map_size_);
-}
-
 Result<InstanceView> InstanceView::Open(const std::string& path) {
-  static_assert(std::endian::native == std::endian::little,
-                "igepa-bin,3 is pinned little-endian");
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IOError("cannot open " + path + ": " + std::strerror(errno));
-  }
-  struct stat st = {};
-  if (::fstat(fd, &st) != 0) {
-    const Status s = Status::IOError("fstat failed on " + path + ": " +
-                                     std::strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  const uint64_t size = static_cast<uint64_t>(st.st_size);
-  if (size < kHeaderSize + 8) {
-    ::close(fd);
-    return Status::IOError("not an igepa-bin,3 file (too short): " + path);
-  }
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps its own reference
-  if (map == MAP_FAILED) {
-    return Status::IOError("mmap failed on " + path + ": " +
-                           std::strerror(errno));
+  IGEPA_ASSIGN_OR_RETURN(SectionFile file, SectionFile::Open(path, kFormat));
+  if (file.records().size() != kInstanceSections) {
+    return file.Refuse("expected " + std::to_string(kInstanceSections) +
+                       " sections");
   }
   InstanceView view;
-  view.map_ = map;
-  view.map_size_ = static_cast<size_t>(size);
-  const auto* base = static_cast<const unsigned char*>(map);
+  IGEPA_RETURN_IF_ERROR(view.Decode(file, 0, /*dense_interest=*/false));
+  view.file_ = std::move(file);  // the mapping, and so every pointer, stays
+  return view;
+}
 
-  const auto refuse = [&](const std::string& why) -> Status {
-    return Status::IOError("invalid igepa-bin,3 file " + path + ": " + why);
-  };
-  if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0) {
-    return refuse("bad magic");
+Status InstanceView::Decode(const SectionFile& file, int32_t first,
+                            bool dense_interest) {
+  const std::vector<SectionRecord>& records = file.records();
+  if (first < 0 ||
+      records.size() < static_cast<size_t>(first) + kInstanceSections) {
+    return file.Refuse("missing instance sections");
   }
-  if (GetU32(base + 8) != kVersion) return refuse("unsupported version");
-  const uint32_t kernel_len = GetU32(base + 12);
-  const int32_t nv = static_cast<int32_t>(GetU32(base + 16));
-  const int32_t nu = static_cast<int32_t>(GetU32(base + 20));
-  const int64_t nbids = static_cast<int64_t>(GetU64(base + 24));
-  const int64_t nconf = static_cast<int64_t>(GetU64(base + 32));
-  const double beta = std::bit_cast<double>(GetU64(base + 40));
-  if (kernel_len == 0 || kernel_len > kMaxKernelIdBytes) {
-    return refuse("implausible kernel id length");
+  const SectionRecord& meta = records[static_cast<size_t>(first)];
+  if (meta.counts[0] > std::numeric_limits<int32_t>::max() ||
+      meta.counts[1] >= std::numeric_limits<int32_t>::max() ||
+      meta.counts[2] > kMaxCount || meta.counts[3] > kMaxCount ||
+      (dense_interest && meta.counts[0] * meta.counts[1] > kMaxCount)) {
+    return file.Refuse("implausible instance counts");
   }
-  if (nv < 0 || nu < 0 || nbids < 0 || nconf < 0) {
-    return refuse("negative section counts");
+  if (meta.bytes <= 8 || meta.bytes > 8 + kMaxKernelIdBytes) {
+    return file.Refuse("implausible kernel id length");
   }
-  if (!(beta >= 0.0 && beta <= 1.0)) return refuse("beta out of [0, 1]");
-  const Layout l = Layout::Of(nv, nu, nbids, nconf, kernel_len);
-  if (l.file_size != size) {
-    return refuse("size mismatch (truncated or trailing garbage)");
+  num_events_ = static_cast<int32_t>(meta.counts[0]);
+  num_users_ = static_cast<int32_t>(meta.counts[1]);
+  num_bids_ = static_cast<int64_t>(meta.counts[2]);
+  num_conflicts_ = static_cast<int64_t>(meta.counts[3]);
+  const unsigned char* m = file.data(first + kMeta);
+  beta_ = std::bit_cast<double>(GetU64(m));
+  kernel_id_.assign(reinterpret_cast<const char*>(m + 8), meta.bytes - 8);
+  if (!InUnit(beta_)) return file.Refuse("beta out of [0, 1]");
+  if (!core::MakeUtilityKernel(kernel_id_).ok()) {
+    return file.Refuse("unknown kernel id '" + kernel_id_ + "'");
   }
-  if (GetU32(base + l.trailer_off + 4) != kTrailerMagic) {
-    return refuse("missing trailer magic");
+  const auto bytes = SectionBytes(meta.counts, meta.bytes, dense_interest);
+  for (int32_t s = kEventCap; s < kInstanceSections; ++s) {
+    if (records[static_cast<size_t>(first + s)].bytes !=
+        bytes[static_cast<size_t>(s)]) {
+      return file.Refuse("instance section " + std::to_string(s) +
+                         " length disagrees with the counts");
+    }
   }
-  const uint32_t crc = Crc32(base, l.trailer_off);
-  if (crc != GetU32(base + l.trailer_off)) {
-    return refuse("CRC mismatch (tampered or torn write)");
-  }
+  event_cap_ = file.As<int32_t>(first + kEventCap);
+  user_cap_ = file.As<int32_t>(first + kUserCap);
+  bid_off_ = file.As<int64_t>(first + kBidOff);
+  pool_ = file.As<int32_t>(first + kBidPool);
+  interest_ = file.As<double>(first + kInterest);
+  degree_ = file.As<double>(first + kDegree);
+  conflicts_ = file.As<int32_t>(first + kConflicts);
 
-  view.num_events_ = nv;
-  view.num_users_ = nu;
-  view.num_bids_ = nbids;
-  view.num_conflicts_ = nconf;
-  view.beta_ = beta;
-  view.kernel_id_.assign(reinterpret_cast<const char*>(base + l.kernel_off),
-                         kernel_len);
-  view.event_cap_ = reinterpret_cast<const int32_t*>(base + l.event_off);
-  view.user_cap_ = reinterpret_cast<const int32_t*>(base + l.ucap_off);
-  view.bid_off_ = reinterpret_cast<const int64_t*>(base + l.boff_off);
-  view.pool_ = reinterpret_cast<const int32_t*>(base + l.pool_off);
-  view.interest_ = reinterpret_cast<const double*>(base + l.intr_off);
-  view.degree_ = reinterpret_cast<const double*>(base + l.deg_off);
-  view.conflicts_ = reinterpret_cast<const int32_t*>(base + l.conf_off);
-
-  // Structural validation up front so every accessor can be an unchecked
-  // read: offsets monotone and closed, bids ascending in range, conflicts
-  // sorted, values in [0, 1]. One linear pass over sections the CRC sweep
-  // already paged in.
-  if (view.bid_off_[0] != 0 || view.bid_off_[nu] != nbids) {
-    return refuse("bid offsets do not close over the pool");
+  // One linear pass over sections the framing's CRC sweep already paged in,
+  // so every accessor can be an unchecked read.
+  const int32_t nv = num_events_;
+  const int32_t nu = num_users_;
+  if (bid_off_[0] != 0 || bid_off_[nu] != num_bids_) {
+    return file.Refuse("bid offsets do not close over the pool");
   }
   for (UserId u = 0; u < nu; ++u) {
-    if (view.user_cap_[u] < 0) return refuse("negative user capacity");
-    const int64_t b = view.bid_off_[u];
-    const int64_t e = view.bid_off_[u + 1];
-    if (b > e) return refuse("bid offsets not monotone");
+    if (user_cap_[u] < 0) return file.Refuse("negative user capacity");
+    const int64_t b = bid_off_[u];
+    const int64_t e = bid_off_[u + 1];
+    if (b > e || e > num_bids_) return file.Refuse("bid offsets not monotone");
     EventId prev = -1;
     for (int64_t i = b; i < e; ++i) {
-      const EventId v = view.pool_[i];
-      if (v <= prev || v >= nv) return refuse("bid pool not ascending in range");
-      if (!(view.interest_[i] >= 0.0 && view.interest_[i] <= 1.0)) {
-        return refuse("interest out of [0, 1]");
+      const EventId v = pool_[i];
+      if (v <= prev || v >= nv) {
+        return file.Refuse("bid pool not ascending in range");
+      }
+      if (!dense_interest && !InUnit(interest_[i])) {
+        return file.Refuse("interest out of [0, 1]");
       }
       prev = v;
     }
-    if (!(view.degree_[u] >= 0.0 && view.degree_[u] <= 1.0)) {
-      return refuse("degree out of [0, 1]");
+    if (!InUnit(degree_[u])) return file.Refuse("degree out of [0, 1]");
+  }
+  if (dense_interest) {
+    const int64_t cells = static_cast<int64_t>(nv) * nu;
+    for (int64_t i = 0; i < cells; ++i) {
+      if (!InUnit(interest_[i])) return file.Refuse("interest out of [0, 1]");
     }
   }
   for (EventId v = 0; v < nv; ++v) {
-    if (view.event_cap_[v] < 0) return refuse("negative event capacity");
+    if (event_cap_[v] < 0) return file.Refuse("negative event capacity");
   }
   EventId pa = -1, pb = -1;
-  for (int64_t i = 0; i < nconf; ++i) {
-    const EventId a = view.conflicts_[2 * i];
-    const EventId b = view.conflicts_[2 * i + 1];
-    if (a < 0 || b >= nv || a >= b) return refuse("bad conflict pair");
-    if (a < pa || (a == pa && b <= pb)) return refuse("conflicts not sorted");
+  for (int64_t i = 0; i < num_conflicts_; ++i) {
+    const EventId a = conflicts_[2 * i];
+    const EventId b = conflicts_[2 * i + 1];
+    if (a < 0 || b >= nv || a >= b) return file.Refuse("bad conflict pair");
+    if (a < pa || (a == pa && b <= pb)) {
+      return file.Refuse("conflicts not sorted");
+    }
     pa = a;
     pb = b;
   }
-  return view;
+  return Status::OK();
 }
 
 bool InstanceView::HasBid(UserId u, EventId v) const {
@@ -632,52 +546,21 @@ Result<core::Instance> MaterializeInstance(
 
 bool SniffBinaryInstance(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  char head[sizeof(kMagic)] = {};
+  char head[8] = {};
   if (!in.read(head, sizeof(head))) return false;
-  return std::memcmp(head, kMagic, sizeof(kMagic)) == 0;
+  return std::memcmp(head, kFormat.magic, sizeof(head)) == 0;
 }
 
 // ---- Instance → binary ------------------------------------------------------
 
 Status WriteInstanceBinary(const core::Instance& instance,
                            const std::string& path) {
-  const int32_t nv = instance.num_events();
-  const int32_t nu = instance.num_users();
-  BinaryInstanceHeader header;
-  header.num_events = nv;
-  header.num_users = nu;
-  header.num_bids = instance.TotalBids();
-  header.beta = instance.beta();
-  header.kernel_id = instance.kernel().id();
-  int64_t nconf = 0;
-  for (EventId a = 0; a < nv; ++a) {
-    for (EventId b = a + 1; b < nv; ++b) {
-      if (instance.Conflicts(a, b)) ++nconf;
-    }
-  }
-  header.num_conflicts = nconf;
-  IGEPA_ASSIGN_OR_RETURN(BinaryInstanceWriter writer,
-                         BinaryInstanceWriter::Create(path, header));
-  for (EventId v = 0; v < nv; ++v) {
-    IGEPA_RETURN_IF_ERROR(writer.AddEvent(instance.event_capacity(v)));
-  }
-  std::vector<double> interest;
-  for (UserId u = 0; u < nu; ++u) {
-    const std::vector<EventId>& bids = instance.bids(u);
-    interest.clear();
-    interest.reserve(bids.size());
-    for (EventId v : bids) interest.push_back(instance.Interest(v, u));
-    IGEPA_RETURN_IF_ERROR(writer.AddUser(instance.user_capacity(u), bids,
-                                         interest, instance.Degree(u)));
-  }
-  for (EventId a = 0; a < nv; ++a) {
-    for (EventId b = a + 1; b < nv; ++b) {
-      if (instance.Conflicts(a, b)) {
-        IGEPA_RETURN_IF_ERROR(writer.AddConflict(a, b));
-      }
-    }
-  }
-  return writer.Finish();
+  IGEPA_ASSIGN_OR_RETURN(SectionFileWriter file,
+                         SectionFileWriter::Create(path, kFormat));
+  IGEPA_RETURN_IF_ERROR(
+      AppendInstanceSections(instance, /*dense_interest=*/false, &file));
+  IGEPA_RETURN_IF_ERROR(file.Seal());
+  return file.Close(/*sync=*/false);
 }
 
 // ---- CSV ↔ binary conversion ------------------------------------------------
@@ -825,8 +708,9 @@ Status ConvertCsvToBinary(const std::string& csv_path,
   }
 
   // Pass 3 — values: interest lands at its pool slot (binary search in the
-  // user's bid span); non-bid pairs are unrepresentable in v3 and dropped,
-  // which is algorithm-equivalent (only bid pairs are ever evaluated).
+  // user's bid span); non-bid pairs are unrepresentable in igepa-bin and
+  // dropped, which is algorithm-equivalent (only bid pairs are ever
+  // evaluated).
   std::vector<double> interest(static_cast<size_t>(num_bids), 0.0);
   std::vector<double> degree(static_cast<size_t>(nu), 0.0);
   in.clear();

@@ -9,18 +9,20 @@
 
 #include "core/instance.h"
 #include "core/types.h"
+#include "io/section_file.h"
 #include "util/result.h"
 
 namespace igepa {
 namespace io {
 
-/// The `igepa-bin,3` memory-mapped binary instance format (FORMATS.md §8):
-/// a 64-byte little-endian header, fixed-width sections (event capacities,
-/// user capacities, bid offsets, bid pool, per-bid interest, per-user degree,
-/// sorted conflict pairs) and a CRC-32 trailer in the PR-7 checkpoint style.
-/// Every section starts 8-byte aligned, so an `InstanceView` can serve reads
-/// straight out of the mapping with zero parsing or allocation — the scale
-/// path for instances whose dense CSV representation no longer fits.
+/// The `igepa-bin,4` memory-mapped binary instance format (FORMATS.md §8):
+/// a section file (§10) whose eight instance sections — counts, β and kernel
+/// id; event capacities; user capacities; bid offsets; bid pool; per-bid
+/// interest; per-user degree; sorted conflict pairs — are fixed-width
+/// little-endian arrays, so an `InstanceView` serves reads straight out of the
+/// mapping with zero parsing or allocation: the scale path for instances
+/// whose dense CSV representation no longer fits. The serve snapshot embeds
+/// the same sections (AppendInstanceSections / ReadInstanceSections).
 
 /// Fixed per-file metadata the writer needs up front: section offsets are a
 /// pure function of these counts, which is what lets both the streaming
@@ -39,13 +41,14 @@ struct BinaryInstanceHeader {
 /// Streaming writer: records are appended strictly in id order (all events,
 /// then all users, then all conflicts) and land in their sections through
 /// per-section buffered cursors, so peak memory is O(buffering) no matter how
-/// large the instance is. `Finish()` re-reads the file once to compute the
-/// CRC-32 trailer. The produced file is byte-deterministic: identical record
-/// sequences produce identical files.
+/// large the instance is. Section CRCs are chained while streaming, so the
+/// file is never re-read. The produced file is byte-deterministic: identical
+/// record sequences produce identical files.
 class BinaryInstanceWriter {
  public:
-  /// Creates `path` (truncating) and writes the header. The declared counts
-  /// are binding: Finish() fails unless exactly that many records arrived.
+  /// Creates `path` (truncating) and reserves the sections the header's
+  /// counts size. The declared counts are binding: Finish() fails unless
+  /// exactly that many records arrived.
   static Result<BinaryInstanceWriter> Create(const std::string& path,
                                              const BinaryInstanceHeader& header);
 
@@ -66,34 +69,41 @@ class BinaryInstanceWriter {
   /// One conflicting pair, a < b, strictly ascending lexicographically.
   Status AddConflict(core::EventId a, core::EventId b);
 
-  /// Flushes, CRC-sweeps the file and appends the trailer. Must be called
-  /// exactly once; the destructor aborts (deletes nothing, file stays
-  /// truncated mid-write) if skipped — a finished file always has a trailer.
+  /// Flushes every section and seals the file. Must be called exactly once;
+  /// if skipped the file keeps a zero header and is refused — a finished
+  /// file always has its directory and trailer.
   Status Finish();
 
  private:
   struct Impl;
   explicit BinaryInstanceWriter(std::unique_ptr<Impl> impl);
+  /// Reserves the instance sections on `file` (owned by the caller unless
+  /// impl->owned is set) and writes the first one.
+  static Result<BinaryInstanceWriter> Begin(std::unique_ptr<Impl> impl,
+                                            SectionFileWriter* file);
+  friend Status AppendInstanceSections(const core::Instance& instance,
+                                       bool dense_interest,
+                                       SectionFileWriter* file);
   std::unique_ptr<Impl> impl_;
 };
 
-/// Read-only, memory-mapped view of one `igepa-bin,3` file with the same
+/// Read-only, memory-mapped view of one `igepa-bin,4` file with the same
 /// accessor surface as core::Instance, so weight/kernel code is
 /// format-agnostic. `Open` maps the file and validates everything eagerly —
-/// magic, version, exact size, CRC trailer, offset monotonicity, id ranges —
-/// so accessors can be unchecked array reads. Move-only; callers that hand
-/// sub-views to adapters wrap it in a shared_ptr.
+/// the section framing (magic, version, size, every CRC), then offset
+/// monotonicity, id and value ranges — so accessors can be unchecked array
+/// reads. Move-only; callers that hand sub-views to adapters wrap it in a
+/// shared_ptr.
 class InstanceView {
  public:
   /// Maps and fully validates `path`. Truncated, tampered or foreign files
   /// are refused with IOError before any accessor can observe them.
   static Result<InstanceView> Open(const std::string& path);
 
-  InstanceView(InstanceView&& other) noexcept;
-  InstanceView& operator=(InstanceView&& other) noexcept;
+  InstanceView(InstanceView&& other) noexcept = default;
+  InstanceView& operator=(InstanceView&& other) noexcept = default;
   InstanceView(const InstanceView&) = delete;
   InstanceView& operator=(const InstanceView&) = delete;
-  ~InstanceView();
 
   int32_t num_events() const { return num_events_; }
   int32_t num_users() const { return num_users_; }
@@ -130,10 +140,17 @@ class InstanceView {
   }
 
  private:
+  friend Result<core::Instance> ReadInstanceSections(const SectionFile& file,
+                                                     int32_t first);
   InstanceView() = default;
 
-  void* map_ = nullptr;
-  size_t map_size_ = 0;
+  /// Points this view at the instance sections starting at `first` of a
+  /// validated file and checks them (lengths against the counts, offsets,
+  /// ids, values in [0, 1]). With `dense_interest`, interest_ holds
+  /// |V|·|U| event-major values and Interest() does not apply.
+  Status Decode(const SectionFile& file, int32_t first, bool dense_interest);
+
+  SectionFile file_;  // owns the mapping when opened from a path
   int32_t num_events_ = 0;
   int32_t num_users_ = 0;
   int64_t num_bids_ = 0;
@@ -158,8 +175,9 @@ class InstanceView {
 Result<core::Instance> MaterializeInstance(
     std::shared_ptr<const InstanceView> view);
 
-/// True when `path` starts with the v3 magic (how the CLI auto-detects the
-/// input format). IO errors read as "not binary".
+/// True when `path` starts with the igepa-bin magic (how the CLI
+/// auto-detects the input format; other versions are then refused by Open).
+/// IO errors read as "not binary".
 bool SniffBinaryInstance(const std::string& path);
 
 /// Streams `instance` into the binary format (id order, sorted conflicts).
@@ -172,6 +190,26 @@ Status WriteInstanceBinary(const core::Instance& instance,
 /// deduplicated), which is a no-op for files written by this repo.
 Status ConvertCsvToBinary(const std::string& csv_path,
                           const std::string& bin_path);
+
+/// The instance sections' count (AppendInstanceSections writes them in
+/// order; ReadInstanceSections reads them from a given first index).
+inline constexpr int32_t kInstanceSections = 8;
+
+/// Appends `instance` to `file` as the instance sections (id order, sorted
+/// conflicts). `dense_interest` stores SI for every (event, user) pair,
+/// event-major, in place of the per-bid values: a served instance is live,
+/// and a later re-registration adds bids whose SI must read what the
+/// original interest model gave — the serve snapshot needs that, a solve of
+/// a frozen instance does not.
+Status AppendInstanceSections(const core::Instance& instance,
+                              bool dense_interest, SectionFileWriter* file);
+
+/// Rebuilds an owning instance (table-backed interest, degree and conflicts)
+/// from dense-interest instance sections starting at `first` of a validated
+/// file (the serve snapshot's; igepa-bin files open as an InstanceView).
+/// Malformed sections are IOError.
+Result<core::Instance> ReadInstanceSections(const SectionFile& file,
+                                            int32_t first);
 
 /// Binary → CSV via the mmap view; produces exactly the bytes
 /// io::WriteInstanceCsv would for the same instance, so CSV → binary → CSV

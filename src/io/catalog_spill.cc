@@ -1,17 +1,13 @@
 #include "io/catalog_spill.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <bit>
-#include <cerrno>
-#include <cstring>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "io/section_file.h"
 #include "util/crc32.h"
 
 namespace igepa {
@@ -19,65 +15,9 @@ namespace io {
 
 namespace {
 
-constexpr char kMagic[8] = {'i', 'g', 'e', 'p', 'a', 'c', 'a', 't'};
-constexpr uint32_t kVersion = 1;
-/// Trailer end-marker ("IGC1" little-endian) behind the CRC word, same
-/// discipline as igepa-bin,3: a file cut mid-CRC-write fails loudly.
-constexpr uint32_t kTrailerMagic = 0x31434749;
-constexpr uint64_t kHeaderSize = 64;
-constexpr uint64_t kDirRecordSize = 48;
-/// Sections start page-aligned so each one can be mmapped independently
-/// (mmap offsets must be page multiples). 4096 is the smallest page size on
-/// every platform this repo targets; a larger runtime page size would only
-/// make these offsets non-mappable, which Map reports as an IOError.
-constexpr uint64_t kSectionAlign = 4096;
+constexpr SectionFormat kFormat{"igepacat", 2, "igepa-cat,2"};
 
 uint64_t Align8(uint64_t n) { return (n + 7u) & ~uint64_t{7}; }
-uint64_t AlignSection(uint64_t n) {
-  return (n + kSectionAlign - 1) & ~(kSectionAlign - 1);
-}
-
-void PutU32(char* p, uint32_t v) {
-  p[0] = static_cast<char>(v);
-  p[1] = static_cast<char>(v >> 8);
-  p[2] = static_cast<char>(v >> 16);
-  p[3] = static_cast<char>(v >> 24);
-}
-
-void PutU64(char* p, uint64_t v) {
-  PutU32(p, static_cast<uint32_t>(v));
-  PutU32(p + 4, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const unsigned char* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t GetU64(const unsigned char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         (static_cast<uint64_t>(GetU32(p + 4)) << 32);
-}
-
-Status WriteFullyAt(int fd, const void* data, size_t size, uint64_t offset,
-                    const std::string& path) {
-  const char* p = static_cast<const char*>(data);
-  size_t remaining = size;
-  uint64_t off = offset;
-  while (remaining > 0) {
-    const ssize_t n = ::pwrite(fd, p, remaining, static_cast<off_t>(off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("pwrite failed on " + path + ": " +
-                             std::strerror(errno));
-    }
-    p += n;
-    off += static_cast<uint64_t>(n);
-    remaining -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 /// Sub-array offsets inside one catalog section — a pure function of the
 /// four counts, every array 8-byte aligned (the section base is
@@ -102,35 +42,38 @@ struct SectionLayout {
     l.bytes = Align8(l.event_cols_off + static_cast<uint64_t>(npairs) * 4);
     return l;
   }
-};
 
-struct SectionRecord {
-  uint64_t offset = 0;
-  uint64_t bytes = 0;
-  int32_t num_users = 0;
-  int32_t num_events = 0;
-  int32_t num_columns = 0;
-  uint32_t crc = 0;
-  int64_t num_pairs = 0;
+  static SectionLayout Of(const SectionRecord& r) {
+    return Of(static_cast<int32_t>(r.counts[0]),
+              static_cast<int32_t>(r.counts[1]),
+              static_cast<int32_t>(r.counts[2]),
+              static_cast<int64_t>(r.counts[3]));
+  }
 };
 
 }  // namespace
 
 struct CatalogSpill::Impl {
   std::string path;
-  int fd = -1;
+  std::optional<SectionFileWriter> writer;  // Create path
+  std::optional<SectionFile> file;          // Open path
   bool sealed = false;
-  std::vector<SectionRecord> records;
-  uint64_t next_off = kSectionAlign;  // first section lands page-aligned
   uint64_t total_payload = 0;
   uint64_t max_payload = 0;
-  /// Guards records/next_off during Append reservation and the lazy
-  /// first-Map CRC validation bitmap.
+  /// Guards the lazy first-Map CRC validation bitmap (Create path only;
+  /// Open verified every section up front).
   mutable std::mutex mutex;
   mutable std::vector<uint8_t> validated;
 
-  ~Impl() {
-    if (fd >= 0) ::close(fd);
+  const std::vector<SectionRecord>& records() const {
+    return writer ? writer->records() : file->records();
+  }
+
+  void Summarize() {
+    for (const SectionRecord& r : records()) {
+      total_payload += r.bytes;
+      max_payload = std::max(max_payload, r.bytes);
+    }
   }
 };
 
@@ -141,51 +84,33 @@ CatalogSpill& CatalogSpill::operator=(CatalogSpill&&) noexcept = default;
 CatalogSpill::~CatalogSpill() = default;
 
 Result<CatalogSpill> CatalogSpill::Create(const std::string& path) {
-  static_assert(std::endian::native == std::endian::little,
-                "igepa-cat,1 is pinned little-endian");
   auto impl = std::make_unique<Impl>();
   impl->path = path;
-  // O_RDWR: Map serves reads from this same fd after Seal.
-  impl->fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (impl->fd < 0) {
-    return Status::IOError("cannot create " + path + ": " +
-                           std::strerror(errno));
-  }
+  IGEPA_ASSIGN_OR_RETURN(impl->writer,
+                         SectionFileWriter::Create(path, kFormat));
   return CatalogSpill(std::move(impl));
 }
 
 Result<int32_t> CatalogSpill::Append(const core::CatalogLanes& lanes) {
   Impl* w = impl_.get();
-  if (w->sealed) return Status::FailedPrecondition("Append after Seal");
+  if (!w->writer) {
+    return Status::FailedPrecondition("Append on an opened spill");
+  }
   if (lanes.num_users < 0 || lanes.num_events < 0 || lanes.num_columns < 0 ||
       lanes.num_pairs < 0) {
     return Status::InvalidArgument("catalog lane counts must be >= 0");
   }
   const SectionLayout layout = SectionLayout::Of(
       lanes.num_users, lanes.num_events, lanes.num_columns, lanes.num_pairs);
+  IGEPA_ASSIGN_OR_RETURN(
+      SectionSink sink,
+      w->writer->Reserve(layout.bytes,
+                         {static_cast<uint64_t>(lanes.num_users),
+                          static_cast<uint64_t>(lanes.num_events),
+                          static_cast<uint64_t>(lanes.num_columns),
+                          static_cast<uint64_t>(lanes.num_pairs)}));
 
-  SectionRecord record;
-  record.bytes = layout.bytes;
-  record.num_users = lanes.num_users;
-  record.num_events = lanes.num_events;
-  record.num_columns = lanes.num_columns;
-  record.num_pairs = lanes.num_pairs;
-
-  int32_t index = 0;
-  {
-    std::lock_guard<std::mutex> lock(w->mutex);
-    record.offset = w->next_off;
-    w->next_off = AlignSection(record.offset + record.bytes);
-    index = static_cast<int32_t>(w->records.size());
-    w->records.push_back(record);
-    w->total_payload += record.bytes;
-    w->max_payload = std::max(w->max_payload, record.bytes);
-  }
-
-  // Disjoint-range writes, no lock held. The section CRC is chained over the
-  // payload *as it will read back*: each sub-array in order, with the (<= 7
-  // byte) alignment gaps as zeros — pwrite leaves those ranges as file holes,
-  // which read back as zeros, so stored and recomputed CRCs agree.
+  // Disjoint-range writes, no lock held; the alignment gaps are zeros.
   struct Piece {
     uint64_t off;
     const void* data;
@@ -207,218 +132,82 @@ Result<int32_t> CatalogSpill::Append(const core::CatalogLanes& lanes) {
       {layout.event_cols_off, lanes.event_cols,
        static_cast<uint64_t>(lanes.num_pairs) * 4},
   };
-  const char zeros[8] = {};
-  uint32_t crc = 0;
   uint64_t covered = 0;
   for (const Piece& piece : pieces) {
-    if (piece.off > covered) {  // alignment gap, zeros on read-back
-      crc = Crc32Update(crc, zeros, piece.off - covered);
-    }
-    if (piece.size > 0) {
-      IGEPA_RETURN_IF_ERROR(WriteFullyAt(w->fd, piece.data, piece.size,
-                                         record.offset + piece.off, w->path));
-      crc = Crc32Update(crc, piece.data, piece.size);
-    }
+    sink.WriteZeros(piece.off - covered);
+    if (piece.size > 0) sink.Write(piece.data, piece.size);
     covered = piece.off + piece.size;
   }
-  if (layout.bytes > covered) {  // trailing alignment pad
-    crc = Crc32Update(crc, zeros, layout.bytes - covered);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(w->mutex);
-    w->records[static_cast<size_t>(index)].crc = crc;
-  }
-  return index;
+  sink.WriteZeros(layout.bytes - covered);
+  IGEPA_RETURN_IF_ERROR(sink.Finish());
+  return sink.index();
 }
 
 Status CatalogSpill::Seal() {
   Impl* w = impl_.get();
-  if (w->sealed) return Status::FailedPrecondition("Seal called twice");
+  if (!w->writer) return Status::FailedPrecondition("Seal on an opened spill");
+  IGEPA_RETURN_IF_ERROR(w->writer->Seal());
   w->sealed = true;
-
-  char head[kHeaderSize] = {};
-  std::memcpy(head, kMagic, sizeof(kMagic));
-  PutU32(head + 8, kVersion);
-  PutU32(head + 12, static_cast<uint32_t>(w->records.size()));
-  const uint64_t dir_off = w->records.empty() ? kHeaderSize : w->next_off;
-  const uint64_t dir_bytes = w->records.size() * kDirRecordSize;
-  PutU64(head + 16, dir_off);
-  PutU64(head + 24, dir_bytes);
-  IGEPA_RETURN_IF_ERROR(WriteFullyAt(w->fd, head, kHeaderSize, 0, w->path));
-
-  std::string directory(dir_bytes, '\0');
-  for (size_t i = 0; i < w->records.size(); ++i) {
-    const SectionRecord& r = w->records[i];
-    char* p = directory.data() + i * kDirRecordSize;
-    PutU64(p, r.offset);
-    PutU64(p + 8, r.bytes);
-    PutU32(p + 16, static_cast<uint32_t>(r.num_users));
-    PutU32(p + 20, static_cast<uint32_t>(r.num_events));
-    PutU32(p + 24, static_cast<uint32_t>(r.num_columns));
-    PutU32(p + 28, r.crc);
-    PutU64(p + 32, static_cast<uint64_t>(r.num_pairs));
-    // bytes [40, 48) reserved zero
-  }
-  if (!directory.empty()) {
-    IGEPA_RETURN_IF_ERROR(WriteFullyAt(w->fd, directory.data(),
-                                       directory.size(), dir_off, w->path));
-  }
-  // Trailer CRC covers header + directory only — the sections carry their
-  // own CRCs in the directory, so sealing never re-reads the payload.
-  uint32_t crc = Crc32(head, kHeaderSize);
-  crc = Crc32Update(crc, directory.data(), directory.size());
-  char trailer[8];
-  PutU32(trailer, crc);
-  PutU32(trailer + 4, kTrailerMagic);
-  IGEPA_RETURN_IF_ERROR(
-      WriteFullyAt(w->fd, trailer, 8, dir_off + dir_bytes, w->path));
-  w->validated.assign(w->records.size(), 0);
+  w->Summarize();
+  w->validated.assign(w->records().size(), 0);
   return Status::OK();
 }
 
 Result<CatalogSpill> CatalogSpill::Open(const std::string& path) {
-  static_assert(std::endian::native == std::endian::little,
-                "igepa-cat,1 is pinned little-endian");
-  const auto refuse = [&](const std::string& why) -> Status {
-    return Status::IOError("invalid igepa-cat,1 file " + path + ": " + why);
-  };
   auto impl = std::make_unique<Impl>();
   impl->path = path;
-  impl->fd = ::open(path.c_str(), O_RDONLY);
-  if (impl->fd < 0) {
-    return Status::IOError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  struct stat st = {};
-  if (::fstat(impl->fd, &st) != 0) {
-    return Status::IOError("fstat failed on " + path + ": " +
-                           std::strerror(errno));
-  }
-  const uint64_t size = static_cast<uint64_t>(st.st_size);
-  if (size < kHeaderSize + 8) return refuse("too short");
-
-  unsigned char head[kHeaderSize];
-  if (::pread(impl->fd, head, kHeaderSize, 0) !=
-      static_cast<ssize_t>(kHeaderSize)) {
-    return refuse("short header read");
-  }
-  if (std::memcmp(head, kMagic, sizeof(kMagic)) != 0) {
-    return refuse("bad magic");
-  }
-  if (GetU32(head + 8) != kVersion) return refuse("unsupported version");
-  const uint32_t num_catalogs = GetU32(head + 12);
-  const uint64_t dir_off = GetU64(head + 16);
-  const uint64_t dir_bytes = GetU64(head + 24);
-  if (dir_bytes != static_cast<uint64_t>(num_catalogs) * kDirRecordSize) {
-    return refuse("directory length disagrees with the catalog count");
-  }
-  if (dir_off < kHeaderSize || dir_off > size ||
-      dir_off + dir_bytes + 8 != size) {
-    return refuse("size mismatch (truncated or trailing garbage)");
-  }
-
-  std::vector<unsigned char> tail(dir_bytes + 8);
-  if (::pread(impl->fd, tail.data(), tail.size(),
-              static_cast<off_t>(dir_off)) !=
-      static_cast<ssize_t>(tail.size())) {
-    return refuse("short directory read");
-  }
-  if (GetU32(tail.data() + dir_bytes + 4) != kTrailerMagic) {
-    return refuse("missing trailer magic");
-  }
-  uint32_t crc = Crc32(head, kHeaderSize);
-  crc = Crc32Update(crc, tail.data(), dir_bytes);
-  if (crc != GetU32(tail.data() + dir_bytes)) {
-    return refuse("directory CRC mismatch (tampered or torn write)");
-  }
-
-  impl->records.resize(num_catalogs);
-  for (uint32_t i = 0; i < num_catalogs; ++i) {
-    const unsigned char* p = tail.data() + i * kDirRecordSize;
-    SectionRecord& r = impl->records[i];
-    r.offset = GetU64(p);
-    r.bytes = GetU64(p + 8);
-    r.num_users = static_cast<int32_t>(GetU32(p + 16));
-    r.num_events = static_cast<int32_t>(GetU32(p + 20));
-    r.num_columns = static_cast<int32_t>(GetU32(p + 24));
-    r.crc = GetU32(p + 28);
-    r.num_pairs = static_cast<int64_t>(GetU64(p + 32));
-    if (r.num_users < 0 || r.num_events < 0 || r.num_columns < 0 ||
-        r.num_pairs < 0) {
-      return refuse("negative section counts");
+  IGEPA_ASSIGN_OR_RETURN(impl->file, SectionFile::Open(path, kFormat));
+  const SectionFile& file = *impl->file;
+  for (const SectionRecord& r : file.records()) {
+    constexpr uint64_t kMax32 = std::numeric_limits<int32_t>::max() - 1;
+    if (r.counts[0] > kMax32 || r.counts[1] > kMax32 ||
+        r.counts[2] > kMax32 || r.counts[3] > (uint64_t{1} << 40)) {
+      return file.Refuse("implausible section counts");
     }
-    if (r.offset % kSectionAlign != 0 || r.offset + r.bytes > dir_off) {
-      return refuse("section out of bounds");
-    }
-    const SectionLayout layout = SectionLayout::Of(
-        r.num_users, r.num_events, r.num_columns, r.num_pairs);
-    if (layout.bytes != r.bytes) {
-      return refuse("section length disagrees with its counts");
-    }
-    impl->total_payload += r.bytes;
-    impl->max_payload = std::max(impl->max_payload, r.bytes);
-    impl->next_off = std::max(impl->next_off, AlignSection(r.offset + r.bytes));
-
-    // Eager per-section CRC sweep: a flipped payload byte is refused here,
-    // before any accessor, matching the igepa-bin,3 validation discipline.
-    uint32_t section_crc = 0;
-    uint64_t off = r.offset;
-    const uint64_t end = r.offset + r.bytes;
-    char buf[1 << 16];
-    while (off < end) {
-      const size_t want =
-          static_cast<size_t>(std::min<uint64_t>(sizeof(buf), end - off));
-      const ssize_t n = ::pread(impl->fd, buf, want, static_cast<off_t>(off));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::IOError("pread failed on " + path + ": " +
-                               std::strerror(errno));
-      }
-      if (n == 0) return refuse("short section read");
-      section_crc = Crc32Update(section_crc, buf, static_cast<size_t>(n));
-      off += static_cast<uint64_t>(n);
-    }
-    if (section_crc != r.crc) {
-      return refuse("section CRC mismatch (tampered or torn write)");
+    if (SectionLayout::Of(r).bytes != r.bytes) {
+      return file.Refuse("section length disagrees with its counts");
     }
   }
   impl->sealed = true;
-  impl->validated.assign(num_catalogs, 1);  // the sweep above covered them
+  impl->Summarize();
   return CatalogSpill(std::move(impl));
 }
 
 Result<CatalogView> CatalogSpill::Map(int32_t index) const {
   Impl* w = impl_.get();
   if (!w->sealed) return Status::FailedPrecondition("Map before Seal");
-  if (index < 0 || index >= static_cast<int32_t>(w->records.size())) {
+  if (index < 0 || index >= num_catalogs()) {
     return Status::InvalidArgument("catalog index out of range");
   }
-  const SectionRecord r = w->records[static_cast<size_t>(index)];
-  IGEPA_ASSIGN_OR_RETURN(
-      util::MappedRegion region,
-      util::MappedRegion::Map(w->fd, r.offset, static_cast<size_t>(r.bytes),
-                              w->path));
-  {
-    // First-map integrity check (Create-path spills; Open already swept).
+  const SectionRecord& r = w->records()[static_cast<size_t>(index)];
+  CatalogView view;
+  const unsigned char* base = nullptr;
+  if (w->file) {
+    base = w->file->data(index);  // validated by Open, mapped while it lives
+  } else {
+    // The padded extent: the same pages as the payload, and exactly what
+    // the section CRC covers.
+    IGEPA_ASSIGN_OR_RETURN(
+        view.region_,
+        util::MappedRegion::Map(w->writer->fd(), r.offset,
+                                static_cast<size_t>(AlignToSection(r.bytes)),
+                                w->path));
     std::lock_guard<std::mutex> lock(w->mutex);
     if (w->validated[static_cast<size_t>(index)] == 0) {
-      if (Crc32(region.data(), region.size()) != r.crc) {
-        return Status::IOError("invalid igepa-cat,1 file " + w->path +
-                               ": section CRC mismatch");
+      if (Crc32(view.region_.data(), view.region_.size()) != r.crc) {
+        return Status::IOError("invalid " + std::string(kFormat.name) +
+                               " file " + w->path + ": section CRC mismatch");
       }
       w->validated[static_cast<size_t>(index)] = 1;
     }
+    base = view.region_.bytes();
   }
 
-  const SectionLayout layout =
-      SectionLayout::Of(r.num_users, r.num_events, r.num_columns, r.num_pairs);
-  const unsigned char* base = region.bytes();
-  CatalogView view;
-  view.lanes_.num_users = r.num_users;
-  view.lanes_.num_events = r.num_events;
-  view.lanes_.num_columns = r.num_columns;
-  view.lanes_.num_pairs = r.num_pairs;
+  const SectionLayout layout = SectionLayout::Of(r);
+  view.lanes_.num_users = static_cast<int32_t>(r.counts[0]);
+  view.lanes_.num_events = static_cast<int32_t>(r.counts[1]);
+  view.lanes_.num_columns = static_cast<int32_t>(r.counts[2]);
+  view.lanes_.num_pairs = static_cast<int64_t>(r.counts[3]);
   view.lanes_.user_begin =
       reinterpret_cast<const int32_t*>(base + layout.user_begin_off);
   view.lanes_.col_begin =
@@ -433,16 +222,15 @@ Result<CatalogView> CatalogSpill::Map(int32_t index) const {
       reinterpret_cast<const int64_t*>(base + layout.event_begin_off);
   view.lanes_.event_cols =
       reinterpret_cast<const int32_t*>(base + layout.event_cols_off);
-  view.region_ = std::move(region);
   return view;
 }
 
 int32_t CatalogSpill::num_catalogs() const {
-  return static_cast<int32_t>(impl_->records.size());
+  return static_cast<int32_t>(impl_->records().size());
 }
 
 uint64_t CatalogSpill::section_bytes(int32_t index) const {
-  return impl_->records[static_cast<size_t>(index)].bytes;
+  return impl_->records()[static_cast<size_t>(index)].bytes;
 }
 
 uint64_t CatalogSpill::total_bytes() const { return impl_->total_payload; }

@@ -12,29 +12,29 @@
 namespace igepa {
 namespace io {
 
-/// The `igepa-cat,1` spilled-catalog format (FORMATS.md §9): one per-run file
-/// holding every shard's canonical catalog arrays — user offsets, CSR column
-/// offsets, event-id pool, weight lane, column owners and the inverted
-/// event→column index — in the `igepa-bin,3` conventions (little-endian,
-/// 64-byte header, aligned sections, CRC-checked). Each catalog section
-/// starts page-aligned (4096) so it can be mmapped independently, with its
-/// sub-arrays 8-byte aligned inside; the directory carries a CRC-32 per
-/// section (computed while writing, so Seal never re-reads the payload) and
-/// the trailer CRC covers header + directory.
+/// The `igepa-cat,2` spilled-catalog format (FORMATS.md §9): one per-run
+/// section file (§10) with one section per shard catalog — user offsets, CSR
+/// column offsets, event-id pool, weight lane, column owners and the
+/// inverted event→column index, each sub-array 8-byte aligned inside its
+/// page-aligned section, the four counts in the section's directory record.
 ///
 /// Lifecycle: `Create` → concurrent `Append` (one call per shard catalog,
-/// thread-safe; disjoint pwrite ranges after a mutex-guarded offset
-/// reservation) → `Seal` (directory + trailer) → `Map` served from the kept
-/// fd, so the caller may unlink the path right after Seal and a crash never
-/// leaks a spill file. `Open` re-opens a sealed file and eagerly validates
-/// everything — header, directory, trailer CRC and every section CRC — so a
-/// truncated, tampered or foreign file is an IOError before any accessor.
+/// thread-safe; the section framing reserves offsets under its mutex and the
+/// writes land in disjoint ranges, CRCs chained while writing) → `Seal`
+/// (directory + trailer, no payload re-read) → `Map` served from the kept fd,
+/// so the caller may unlink the path right after Create and a crash never
+/// leaks a spill file. `Open` re-opens a sealed file through the shared
+/// section reader, which validates everything — header, directory, trailer
+/// and every section CRC — so a truncated, tampered or foreign file is an
+/// IOError before any accessor.
 
 /// Read-only mapping of one catalog section, exposing the same CatalogLanes
 /// view AdmissibleCatalog::Lanes() exports — zero rehydration, the SIMD
 /// μ-sum scan reads weight lanes straight out of the mapped bytes. Move-only;
-/// destruction munmaps (dropping the pages from RSS while the kernel page
-/// cache keeps them warm for a cheap repage).
+/// on a Create'd spill, destruction munmaps (dropping the pages from RSS
+/// while the kernel page cache keeps them warm for a cheap repage); on an
+/// Open'd spill the view reads the spill's own mapping and must not outlive
+/// it.
 class CatalogView {
  public:
   CatalogView() = default;
@@ -44,7 +44,6 @@ class CatalogView {
   CatalogView& operator=(const CatalogView&) = delete;
 
   const core::CatalogLanes& lanes() const { return lanes_; }
-  size_t mapped_bytes() const { return region_.size(); }
 
  private:
   friend class CatalogSpill;
@@ -57,9 +56,9 @@ class CatalogSpill {
   /// Creates `path` (truncating) for writing.
   static Result<CatalogSpill> Create(const std::string& path);
 
-  /// Opens a sealed file read-only and validates it fully (header, version,
-  /// exact size, trailer CRC over header + directory, and every section's
-  /// CRC). Refused files are IOError before any accessor.
+  /// Opens a sealed file read-only and validates it fully (the section
+  /// framing, then each section's counts against its length). Refused files
+  /// are IOError before any accessor.
   static Result<CatalogSpill> Open(const std::string& path);
 
   CatalogSpill(CatalogSpill&&) noexcept;
@@ -70,7 +69,8 @@ class CatalogSpill {
 
   /// Serializes one canonical catalog as the next section and returns its
   /// index. Thread-safe: the offset reservation is mutex-guarded, the writes
-  /// land in disjoint ranges without the lock. Only valid before Seal.
+  /// land in disjoint ranges without the lock. Only valid on a Create'd
+  /// spill before Seal.
   Result<int32_t> Append(const core::CatalogLanes& lanes);
 
   /// Writes the directory and CRC trailer. Must be called exactly once on a

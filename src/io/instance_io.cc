@@ -1,9 +1,7 @@
 #include "io/instance_io.h"
 
-#include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "util/string_util.h"
 
@@ -17,44 +15,19 @@ using core::Instance;
 using core::UserDef;
 using core::UserId;
 
-namespace {
-
-// Round-trip exact for every finite double (17 significant digits). The
-// fixed-precision FormatDouble(x, 17) used by the legacy sparse format loses
-// ulps below 0.1 — leading zeros consume its digit budget — which recovery
-// snapshots (dense_interest mode) cannot afford: a recovered engine must
-// reproduce every weight bit for bit.
-std::string FormatDoubleExact(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return std::string(buf);
-}
-
-}  // namespace
-
 Status WriteInstanceCsv(const Instance& instance, const std::string& path) {
   std::ofstream out(path);
   if (!out.is_open()) {
     return Status::IOError("cannot open for writing: " + path);
   }
-  return WriteInstanceCsv(instance, out, path, /*dense_interest=*/false);
-}
-
-Status WriteInstanceCsv(const Instance& instance, std::ostream& out,
-                        const std::string& path, bool dense_interest) {
   // v1 has no kernel record and means "default kernel"; only a non-default
   // objective needs the v2 header, so default-kernel instances keep writing
   // byte-identical v1 files.
   const bool default_kernel =
       instance.kernel().id() == core::DefaultUtilityKernel()->id();
-  // dense_interest files are recovery snapshots: every double in them must
-  // survive a write/read cycle exactly, so they use the round-trip-exact
-  // formatter throughout. Sparse files keep the historical fixed-17 bytes.
-  const auto fmt = [dense_interest](double value) {
-    return dense_interest ? FormatDoubleExact(value) : FormatDouble(value, 17);
-  };
   out << "igepa," << (default_kernel ? 1 : 2) << "," << instance.num_events()
-      << "," << instance.num_users() << "," << fmt(instance.beta()) << "\n";
+      << "," << instance.num_users() << ","
+      << FormatDouble(instance.beta(), 17) << "\n";
   if (!default_kernel) {
     out << "kernel," << instance.kernel().id() << "\n";
   }
@@ -77,26 +50,15 @@ Status WriteInstanceCsv(const Instance& instance, std::ostream& out,
       }
     }
   }
-  if (dense_interest) {
-    // Every (event, user) pair, not just bids: a live instance can gain new
-    // bid pairs through later re-registration deltas, and their SI must
-    // round-trip exactly (see the header comment).
-    for (EventId v = 0; v < instance.num_events(); ++v) {
-      for (UserId u = 0; u < instance.num_users(); ++u) {
-        out << "interest," << v << "," << u << ","
-            << fmt(instance.Interest(v, u)) << "\n";
-      }
-    }
-  } else {
-    for (UserId u = 0; u < instance.num_users(); ++u) {
-      for (EventId v : instance.bids(u)) {
-        out << "interest," << v << "," << u << ","
-            << fmt(instance.Interest(v, u)) << "\n";
-      }
+  for (UserId u = 0; u < instance.num_users(); ++u) {
+    for (EventId v : instance.bids(u)) {
+      out << "interest," << v << "," << u << ","
+          << FormatDouble(instance.Interest(v, u), 17) << "\n";
     }
   }
   for (UserId u = 0; u < instance.num_users(); ++u) {
-    out << "degree," << u << "," << fmt(instance.Degree(u)) << "\n";
+    out << "degree," << u << "," << FormatDouble(instance.Degree(u), 17)
+        << "\n";
   }
   out.flush();
   if (!out.good()) return Status::IOError("write failed: " + path);
@@ -108,10 +70,6 @@ Result<Instance> ReadInstanceCsv(const std::string& path) {
   if (!in.is_open()) {
     return Status::IOError("cannot open for reading: " + path);
   }
-  return ReadInstanceCsv(in, path);
-}
-
-Result<Instance> ReadInstanceCsv(std::istream& in, const std::string& path) {
   std::string line;
   if (!std::getline(in, line)) {
     return Status::IOError("empty instance file: " + path);

@@ -1,8 +1,6 @@
 #ifndef IGEPA_IO_INSTANCE_IO_H_
 #define IGEPA_IO_INSTANCE_IO_H_
 
-#include <istream>
-#include <ostream>
 #include <string>
 
 #include "core/arrangement.h"
@@ -39,29 +37,8 @@ namespace io {
 Status WriteInstanceCsv(const core::Instance& instance,
                         const std::string& path);
 
-/// Stream-based variant (serve checkpoints embed the instance through this);
-/// `label` names the destination in error messages.
-///
-/// `dense_interest` writes an interest line for EVERY (event, user) pair
-/// instead of just the current bid pairs. The bid-pair default is all any
-/// solve of the *frozen* instance can evaluate, but a served instance is
-/// live: a later re-registration delta adds bids whose SI must read the same
-/// value the original interest model would have produced — a sparse snapshot
-/// would silently turn them into 0. Deterministic crash recovery therefore
-/// snapshots densely (docs/FORMATS.md). Dense files also format every double
-/// round-trip exactly ("%.17g") instead of the sparse format's historical
-/// fixed-17 digits, which lose ulps below 0.1.
-Status WriteInstanceCsv(const core::Instance& instance, std::ostream& out,
-                        const std::string& label,
-                        bool dense_interest = false);
-
 /// Reads an instance written by WriteInstanceCsv.
 Result<core::Instance> ReadInstanceCsv(const std::string& path);
-
-/// Stream-based variant (checkpoint loading); `label` names the source in
-/// error messages.
-Result<core::Instance> ReadInstanceCsv(std::istream& in,
-                                       const std::string& label);
 
 /// Serializes an arrangement: header line "arrangement,<nv>,<nu>" then one
 /// "pair,<event>,<user>" line per pair.

@@ -4,15 +4,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
-#include "io/instance_io.h"
-#include "util/crc32.h"
-#include "util/string_util.h"
+#include "io/binary_instance.h"
+#include "io/section_file.h"
 
 namespace igepa {
 namespace serve {
@@ -22,183 +19,79 @@ constexpr char kSnapshotFile[] = "snapshot.igs";
 constexpr char kTmpFile[] = "snapshot.tmp";
 constexpr char kWalFile[] = "wal.log";
 
-// Doubles round-trip as raw IEEE-754 bit patterns: decimal formatting is a
-// determinism hazard (FormatDouble is fixed-precision, not shortest-exact),
-// and a recovered engine must reproduce solves bit for bit.
-uint64_t DoubleBits(double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
+/// Version 1 was the line-oriented text snapshot; its "igepa-snapshot,1"
+/// prefix is refused as a bad magic that names it.
+constexpr io::SectionFormat kFormat{"igepasnp", 2, "igepa-snapshot,2"};
 
-double BitsToDouble(uint64_t bits) {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-std::string HexU64(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buffer);
-}
-
-bool ParseHexU64(std::string_view text, uint64_t* out) {
-  if (text.empty() || text.size() > 16) return false;
-  uint64_t value = 0;
-  for (const char c : text) {
-    int digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | static_cast<uint64_t>(digit);
-  }
-  *out = value;
-  return true;
-}
-
-void AppendDoubleVector(std::ostream& out, const char* name,
-                        const std::vector<double>& values) {
-  out << name << "," << values.size() << ",";
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out << ";";
-    out << HexU64(DoubleBits(values[i]));
-  }
-  out << "\n";
-}
-
-template <typename Int>
-void AppendIntVector(std::ostream& out, const char* name,
-                     const std::vector<Int>& values) {
-  out << name << "," << values.size() << ",";
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out << ";";
-    out << static_cast<int64_t>(values[i]);
-  }
-  out << "\n";
-}
-
-/// Line reader over an in-memory snapshot body that can also hand out raw
-/// byte ranges (the embedded instance section contains newlines, so a plain
-/// getline loop cannot parse this format).
-class Cursor {
- public:
-  explicit Cursor(const std::string& data) : data_(data) {}
-
-  bool NextLine(std::string_view* line) {
-    if (pos_ >= data_.size()) return false;
-    const size_t nl = data_.find('\n', pos_);
-    const size_t end = nl == std::string::npos ? data_.size() : nl;
-    *line = std::string_view(data_).substr(pos_, end - pos_);
-    pos_ = end + 1;
-    return true;
-  }
-
-  bool TakeBytes(size_t count, std::string_view* bytes) {
-    if (pos_ + count > data_.size()) return false;
-    *bytes = std::string_view(data_).substr(pos_, count);
-    pos_ += count;
-    return true;
-  }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
+/// Section order: the scalar block, the nine state vectors, then the
+/// instance sections (dense interest).
+enum SnapshotSection : int32_t {
+  kScalars,  // u64[11]: next_epoch, next_version, deltas_applied, rng[4],
+             // lp_status, lp_objective, lp_upper_bound, lp_iterations
+  kMu,
+  kChoice,
+  kChoiceValue,
+  kStale,
+  kSampledCol,
+  kDemand,
+  kCutoff,
+  kX,
+  kDuals,
+  kInstance,
 };
+constexpr int kNumScalars = 11;
 
-Status MalformedError(const std::string& path, const std::string& why) {
-  return Status::IOError("malformed snapshot " + path + ": " + why);
+template <typename T>
+Status WriteVector(io::SectionFileWriter* file, const std::vector<T>& values) {
+  IGEPA_ASSIGN_OR_RETURN(io::SectionSink sink,
+                         file->Reserve(values.size() * sizeof(T)));
+  sink.Write(values.data(), values.size() * sizeof(T));
+  return sink.Finish();
 }
 
-Status ParseDoubleVector(Cursor* cursor, const char* name,
-                         std::vector<double>* out, const std::string& path) {
-  std::string_view line;
-  if (!cursor->NextLine(&line)) {
-    return MalformedError(path, std::string("missing ") + name + " section");
+template <typename T>
+Status ReadVector(const io::SectionFile& file, int32_t section,
+                  std::vector<T>* out) {
+  const uint64_t bytes = file.record(section).bytes;
+  if (bytes % sizeof(T) != 0) {
+    return file.Refuse("state section " + std::to_string(section) +
+                       " is not a whole number of elements");
   }
-  const auto fields = Split(line, ',');
-  int64_t count = 0;
-  if (fields.size() != 3 || fields[0] != name ||
-      !ParseInt(fields[1], &count) || count < 0) {
-    return MalformedError(path, std::string("bad ") + name + " line");
-  }
-  out->clear();
-  out->reserve(static_cast<size_t>(count));
-  if (count == 0) {
-    if (!fields[2].empty()) {
-      return MalformedError(path, std::string(name) + " count/payload mismatch");
-    }
-    return Status::OK();
-  }
-  const auto tokens = Split(fields[2], ';');
-  if (tokens.size() != static_cast<size_t>(count)) {
-    return MalformedError(path, std::string(name) + " count/payload mismatch");
-  }
-  for (const auto& token : tokens) {
-    uint64_t bits = 0;
-    if (!ParseHexU64(token, &bits)) {
-      return MalformedError(path, std::string("bad hex double in ") + name);
-    }
-    out->push_back(BitsToDouble(bits));
-  }
+  const T* values = file.As<T>(section);  // page-aligned
+  out->assign(values, values + bytes / sizeof(T));
   return Status::OK();
 }
 
-template <typename Int>
-Status ParseIntVector(Cursor* cursor, const char* name, std::vector<Int>* out,
-                      const std::string& path) {
-  std::string_view line;
-  if (!cursor->NextLine(&line)) {
-    return MalformedError(path, std::string("missing ") + name + " section");
+Status WriteSnapshotFile(const std::string& path,
+                         const EngineSnapshot& snapshot) {
+  IGEPA_ASSIGN_OR_RETURN(io::SectionFileWriter file,
+                         io::SectionFileWriter::Create(path, kFormat));
+  {
+    IGEPA_ASSIGN_OR_RETURN(io::SectionSink sink,
+                           file.Reserve(kNumScalars * sizeof(uint64_t)));
+    sink.WriteValue(snapshot.next_epoch);
+    sink.WriteValue(snapshot.next_version);
+    sink.WriteValue(snapshot.deltas_applied);
+    for (uint64_t word : snapshot.rng_state) sink.WriteValue(word);
+    sink.WriteValue(int64_t{snapshot.lp_status});
+    sink.WriteValue(snapshot.lp_objective);
+    sink.WriteValue(snapshot.lp_upper_bound);
+    sink.WriteValue(snapshot.lp_iterations);
+    IGEPA_RETURN_IF_ERROR(sink.Finish());
   }
-  const auto fields = Split(line, ',');
-  int64_t count = 0;
-  if (fields.size() != 3 || fields[0] != name ||
-      !ParseInt(fields[1], &count) || count < 0) {
-    return MalformedError(path, std::string("bad ") + name + " line");
-  }
-  out->clear();
-  out->reserve(static_cast<size_t>(count));
-  if (count == 0) {
-    if (!fields[2].empty()) {
-      return MalformedError(path, std::string(name) + " count/payload mismatch");
-    }
-    return Status::OK();
-  }
-  const auto tokens = Split(fields[2], ';');
-  if (tokens.size() != static_cast<size_t>(count)) {
-    return MalformedError(path, std::string(name) + " count/payload mismatch");
-  }
-  for (const auto& token : tokens) {
-    int64_t value = 0;
-    if (!ParseInt(token, &value)) {
-      return MalformedError(path, std::string("bad integer in ") + name);
-    }
-    out->push_back(static_cast<Int>(value));
-  }
-  return Status::OK();
-}
-
-Status WriteFully(int fd, const void* data, size_t size,
-                  const std::string& path) {
-  const char* p = static_cast<const char*>(data);
-  size_t remaining = size;
-  while (remaining > 0) {
-    const ssize_t n = ::write(fd, p, remaining);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("write failed on " + path + ": " +
-                             std::strerror(errno));
-    }
-    p += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  return Status::OK();
+  IGEPA_RETURN_IF_ERROR(WriteVector(&file, snapshot.mu));
+  IGEPA_RETURN_IF_ERROR(WriteVector(&file, snapshot.choice));
+  IGEPA_RETURN_IF_ERROR(WriteVector(&file, snapshot.choice_value));
+  IGEPA_RETURN_IF_ERROR(WriteVector(&file, snapshot.stale));
+  IGEPA_RETURN_IF_ERROR(WriteVector(&file, snapshot.sampled_col));
+  IGEPA_RETURN_IF_ERROR(WriteVector(&file, snapshot.demand));
+  IGEPA_RETURN_IF_ERROR(WriteVector(&file, snapshot.cutoff));
+  IGEPA_RETURN_IF_ERROR(WriteVector(&file, snapshot.x));
+  IGEPA_RETURN_IF_ERROR(WriteVector(&file, snapshot.duals));
+  IGEPA_RETURN_IF_ERROR(io::AppendInstanceSections(
+      *snapshot.instance, /*dense_interest=*/true, &file));
+  IGEPA_RETURN_IF_ERROR(file.Seal());
+  return file.Close(/*sync=*/true);
 }
 
 Status FsyncDirectory(const std::string& dir) {
@@ -250,52 +143,11 @@ Status Checkpointer::Write(const std::string& dir,
     return Status::InvalidArgument("snapshot has no instance");
   }
   const std::string path = SnapshotPath(dir);
-
-  std::ostringstream body;
-  body << "igepa-snapshot,1," << snapshot.next_epoch << ","
-       << snapshot.next_version << "," << snapshot.deltas_applied << "\n";
-  body << "rng," << HexU64(snapshot.rng_state[0]) << ","
-       << HexU64(snapshot.rng_state[1]) << "," << HexU64(snapshot.rng_state[2])
-       << "," << HexU64(snapshot.rng_state[3]) << "\n";
-  AppendDoubleVector(body, "mu", snapshot.mu);
-  AppendIntVector(body, "choice", snapshot.choice);
-  AppendDoubleVector(body, "choice_value", snapshot.choice_value);
-  AppendIntVector(body, "stale", snapshot.stale);
-  AppendIntVector(body, "sampled_col", snapshot.sampled_col);
-  AppendIntVector(body, "demand", snapshot.demand);
-  AppendIntVector(body, "cutoff", snapshot.cutoff);
-  body << "lp," << snapshot.lp_status << ","
-       << HexU64(DoubleBits(snapshot.lp_objective)) << ","
-       << HexU64(DoubleBits(snapshot.lp_upper_bound)) << ","
-       << snapshot.lp_iterations << "\n";
-  AppendDoubleVector(body, "x", snapshot.x);
-  AppendDoubleVector(body, "duals", snapshot.duals);
-
-  std::ostringstream instance_out;
-  IGEPA_RETURN_IF_ERROR(io::WriteInstanceCsv(*snapshot.instance, instance_out,
-                                             path, /*dense_interest=*/true));
-  const std::string instance_csv = instance_out.str();
-  body << "instance," << instance_csv.size() << "\n" << instance_csv;
-
-  std::string contents = body.str();
-  contents += "crc," + HexU64(Crc32(contents)).substr(8) + "\n";
-
   const std::string tmp_path = dir + "/" + kTmpFile;
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot open " + tmp_path + ": " +
-                           std::strerror(errno));
-  }
-  Status write_status = WriteFully(fd, contents.data(), contents.size(),
-                                   tmp_path);
-  if (write_status.ok() && ::fsync(fd) != 0) {
-    write_status = Status::IOError("fsync failed on " + tmp_path + ": " +
-                                   std::strerror(errno));
-  }
-  ::close(fd);
-  if (!write_status.ok()) {
+  // Written and fsynced under the tmp name, then renamed over the old one.
+  if (Status s = WriteSnapshotFile(tmp_path, snapshot); !s.ok()) {
     ::unlink(tmp_path.c_str());
-    return write_status;
+    return s;
   }
   if (::rename(tmp_path.c_str(), path.c_str()) != 0) {
     const Status s = Status::IOError("cannot rename " + tmp_path + " to " +
@@ -310,114 +162,47 @@ Status Checkpointer::Write(const std::string& dir,
 
 Result<EngineSnapshot> Checkpointer::Load(const std::string& dir) {
   const std::string path = SnapshotPath(dir);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+  if (::access(path.c_str(), F_OK) != 0) {
     return Status::NotFound("no snapshot at " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    return Status::IOError("read failed on " + path);
+  IGEPA_ASSIGN_OR_RETURN(const io::SectionFile file,
+                         io::SectionFile::Open(path, kFormat));
+  if (file.records().size() != kInstance + io::kInstanceSections) {
+    return file.Refuse("unexpected section count");
   }
-  const std::string contents = buffer.str();
-
-  // Split off and verify the trailing CRC line before trusting any field.
-  const size_t crc_pos = contents.rfind("crc,");
-  if (crc_pos == std::string::npos || crc_pos + 13 != contents.size() ||
-      contents.back() != '\n' ||
-      (crc_pos != 0 && contents[crc_pos - 1] != '\n')) {
-    return MalformedError(path, "missing CRC trailer");
+  if (file.record(kScalars).bytes != kNumScalars * sizeof(uint64_t)) {
+    return file.Refuse("bad scalar section");
   }
-  uint64_t stored_crc = 0;
-  if (!ParseHexU64(std::string_view(contents).substr(crc_pos + 4, 8),
-                   &stored_crc)) {
-    return MalformedError(path, "bad CRC trailer");
-  }
-  const std::string body = contents.substr(0, crc_pos);
-  if (Crc32(body) != static_cast<uint32_t>(stored_crc)) {
-    return Status::IOError("snapshot CRC mismatch in " + path);
-  }
-
-  Cursor cursor(body);
   EngineSnapshot snapshot;
-
-  std::string_view line;
-  if (!cursor.NextLine(&line)) return MalformedError(path, "empty snapshot");
-  auto fields = Split(line, ',');
-  if (fields.size() != 5 || fields[0] != "igepa-snapshot" || fields[1] != "1" ||
-      !ParseInt(fields[2], &snapshot.next_epoch) ||
-      !ParseInt(fields[3], &snapshot.next_version) ||
-      !ParseInt(fields[4], &snapshot.deltas_applied) ||
-      snapshot.next_epoch < 0 || snapshot.next_version < 1 ||
-      snapshot.deltas_applied < 0) {
-    return MalformedError(path, "bad header");
-  }
-
-  if (!cursor.NextLine(&line)) return MalformedError(path, "missing rng line");
-  fields = Split(line, ',');
-  if (fields.size() != 5 || fields[0] != "rng") {
-    return MalformedError(path, "bad rng line");
-  }
-  for (size_t i = 0; i < 4; ++i) {
-    if (!ParseHexU64(fields[i + 1], &snapshot.rng_state[i])) {
-      return MalformedError(path, "bad rng word");
-    }
-  }
-
-  IGEPA_RETURN_IF_ERROR(ParseDoubleVector(&cursor, "mu", &snapshot.mu, path));
-  IGEPA_RETURN_IF_ERROR(
-      ParseIntVector(&cursor, "choice", &snapshot.choice, path));
-  IGEPA_RETURN_IF_ERROR(
-      ParseDoubleVector(&cursor, "choice_value", &snapshot.choice_value, path));
-  IGEPA_RETURN_IF_ERROR(
-      ParseIntVector(&cursor, "stale", &snapshot.stale, path));
-  IGEPA_RETURN_IF_ERROR(
-      ParseIntVector(&cursor, "sampled_col", &snapshot.sampled_col, path));
-  IGEPA_RETURN_IF_ERROR(
-      ParseIntVector(&cursor, "demand", &snapshot.demand, path));
-  IGEPA_RETURN_IF_ERROR(
-      ParseIntVector(&cursor, "cutoff", &snapshot.cutoff, path));
-
-  if (!cursor.NextLine(&line)) return MalformedError(path, "missing lp line");
-  fields = Split(line, ',');
-  int64_t lp_status = 0;
-  uint64_t objective_bits = 0, upper_bits = 0;
-  if (fields.size() != 5 || fields[0] != "lp" ||
-      !ParseInt(fields[1], &lp_status) ||
-      !ParseHexU64(fields[2], &objective_bits) ||
-      !ParseHexU64(fields[3], &upper_bits) ||
-      !ParseInt(fields[4], &snapshot.lp_iterations)) {
-    return MalformedError(path, "bad lp line");
+  const unsigned char* p = file.data(kScalars);
+  const auto scalar = [p](int i) { return io::GetU64(p + 8 * i); };
+  snapshot.next_epoch = static_cast<int64_t>(scalar(0));
+  snapshot.next_version = static_cast<int64_t>(scalar(1));
+  snapshot.deltas_applied = static_cast<int64_t>(scalar(2));
+  for (int i = 0; i < 4; ++i) snapshot.rng_state[i] = scalar(3 + i);
+  const auto lp_status = static_cast<int64_t>(scalar(7));
+  snapshot.lp_objective = std::bit_cast<double>(scalar(8));
+  snapshot.lp_upper_bound = std::bit_cast<double>(scalar(9));
+  snapshot.lp_iterations = static_cast<int64_t>(scalar(10));
+  if (snapshot.next_epoch < 0 || snapshot.next_version < 1 ||
+      snapshot.deltas_applied < 0 ||
+      static_cast<int32_t>(lp_status) != lp_status) {
+    return file.Refuse("bad counters");
   }
   snapshot.lp_status = static_cast<int32_t>(lp_status);
-  snapshot.lp_objective = BitsToDouble(objective_bits);
-  snapshot.lp_upper_bound = BitsToDouble(upper_bits);
 
-  IGEPA_RETURN_IF_ERROR(ParseDoubleVector(&cursor, "x", &snapshot.x, path));
+  IGEPA_RETURN_IF_ERROR(ReadVector(file, kMu, &snapshot.mu));
+  IGEPA_RETURN_IF_ERROR(ReadVector(file, kChoice, &snapshot.choice));
   IGEPA_RETURN_IF_ERROR(
-      ParseDoubleVector(&cursor, "duals", &snapshot.duals, path));
-
-  if (!cursor.NextLine(&line)) {
-    return MalformedError(path, "missing instance section");
-  }
-  fields = Split(line, ',');
-  int64_t instance_len = 0;
-  if (fields.size() != 2 || fields[0] != "instance" ||
-      !ParseInt(fields[1], &instance_len) || instance_len < 0) {
-    return MalformedError(path, "bad instance length line");
-  }
-  std::string_view instance_csv;
-  if (!cursor.TakeBytes(static_cast<size_t>(instance_len), &instance_csv)) {
-    return MalformedError(path, "truncated instance section");
-  }
-  std::istringstream instance_in{std::string(instance_csv)};
-  auto instance = io::ReadInstanceCsv(instance_in, path + "[instance]");
-  if (!instance.ok()) return instance.status();
-  snapshot.instance.emplace(std::move(*instance));
-
-  if (cursor.NextLine(&line) && !Trim(line).empty()) {
-    return MalformedError(path, "trailing garbage after instance section");
-  }
+      ReadVector(file, kChoiceValue, &snapshot.choice_value));
+  IGEPA_RETURN_IF_ERROR(ReadVector(file, kStale, &snapshot.stale));
+  IGEPA_RETURN_IF_ERROR(ReadVector(file, kSampledCol, &snapshot.sampled_col));
+  IGEPA_RETURN_IF_ERROR(ReadVector(file, kDemand, &snapshot.demand));
+  IGEPA_RETURN_IF_ERROR(ReadVector(file, kCutoff, &snapshot.cutoff));
+  IGEPA_RETURN_IF_ERROR(ReadVector(file, kX, &snapshot.x));
+  IGEPA_RETURN_IF_ERROR(ReadVector(file, kDuals, &snapshot.duals));
+  IGEPA_ASSIGN_OR_RETURN(snapshot.instance,
+                         io::ReadInstanceSections(file, kInstance));
   return snapshot;
 }
 

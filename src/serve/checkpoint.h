@@ -49,9 +49,9 @@ struct EngineSnapshot {
   std::vector<double> x;
   std::vector<double> duals;
   /// The instance as of the checkpointed epoch, embedded with a DENSE
-  /// interest table (io::WriteInstanceCsv dense_interest — see that header
-  /// for why sparse would break later re-registrations). Always set on Load;
-  /// must be set for Write.
+  /// interest table (io::AppendInstanceSections — see there for why sparse
+  /// would break later re-registrations). Always set on Load; must be set
+  /// for Write.
   std::optional<core::Instance> instance;
 };
 
@@ -61,11 +61,10 @@ struct EngineSnapshot {
 /// dir), so a crash at any instant leaves either the old snapshot or the new
 /// one, never a torn mix.
 ///
-/// The file is line-oriented text (docs/FORMATS.md): a header with the
-/// engine counters, the RNG words in hex, each state vector length-prefixed,
-/// doubles as 16-hex-digit IEEE-754 bit patterns (exact round-trip without
-/// trusting decimal formatting), the embedded instance CSV byte-length
-/// prefixed, and a trailing CRC-32 line over everything above it.
+/// The file is an `igepa-snapshot,2` section file (docs/FORMATS.md §7):
+/// the counters, RNG words and LP scalars, each state vector and the
+/// embedded instance are raw little-endian sections, so every double
+/// round-trips bit for bit and every section is CRC-checked on Load.
 class Checkpointer {
  public:
   /// `<dir>/snapshot.igs`.
@@ -81,7 +80,8 @@ class Checkpointer {
   static Status Write(const std::string& dir, const EngineSnapshot& snapshot);
 
   /// Loads `<dir>/snapshot.igs`: NotFound when absent (cold start), IOError
-  /// on CRC mismatch or malformed contents.
+  /// on CRC mismatch, malformed contents or another version (the text
+  /// `igepa-snapshot,1` included).
   static Result<EngineSnapshot> Load(const std::string& dir);
 };
 

@@ -10,56 +10,18 @@
 #include <utility>
 
 #include "io/delta_io.h"
+#include "io/section_file.h"
 #include "util/crc32.h"
 
 namespace igepa {
 namespace serve {
+
 namespace {
 
 constexpr char kMagic[4] = {'I', 'G', 'W', 'L'};
 /// A single epoch batch is bounded by queue_capacity single-mutation deltas;
 /// anything near this is a corrupt length field, not a real record.
 constexpr uint32_t kMaxPayload = 1u << 30;
-
-void PutU32(unsigned char* p, uint32_t v) {
-  p[0] = static_cast<unsigned char>(v);
-  p[1] = static_cast<unsigned char>(v >> 8);
-  p[2] = static_cast<unsigned char>(v >> 16);
-  p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void PutU64(unsigned char* p, uint64_t v) {
-  PutU32(p, static_cast<uint32_t>(v));
-  PutU32(p + 4, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const unsigned char* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t GetU64(const unsigned char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         (static_cast<uint64_t>(GetU32(p + 4)) << 32);
-}
-
-Status WriteFully(int fd, const void* data, size_t size,
-                  const std::string& path) {
-  const char* p = static_cast<const char*>(data);
-  size_t remaining = size;
-  while (remaining > 0) {
-    const ssize_t n = ::write(fd, p, remaining);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("write failed on " + path + ": " +
-                             std::strerror(errno));
-    }
-    p += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 Status ReadFile(const std::string& path, int fd, std::string* out) {
   out->clear();
@@ -112,10 +74,10 @@ Result<std::unique_ptr<DeltaWal>> DeltaWal::Open(
       corrupt = bad("bad magic");
       break;
     }
-    const uint32_t payload_len = GetU32(bytes + offset + 4);
-    const int64_t epoch = static_cast<int64_t>(GetU64(bytes + offset + 8));
-    const uint32_t coalesced = GetU32(bytes + offset + 16);
-    const uint32_t stored_crc = GetU32(bytes + offset + 20);
+    const uint32_t payload_len = io::GetU32(bytes + offset + 4);
+    const int64_t epoch = static_cast<int64_t>(io::GetU64(bytes + offset + 8));
+    const uint32_t coalesced = io::GetU32(bytes + offset + 16);
+    const uint32_t stored_crc = io::GetU32(bytes + offset + 20);
     if (payload_len > kMaxPayload) {
       corrupt = bad("implausible payload length " +
                     std::to_string(payload_len));
@@ -194,15 +156,16 @@ Status DeltaWal::Append(int64_t epoch, int32_t coalesced,
   std::string record(kHeaderSize + payload.size(), '\0');
   auto* header = reinterpret_cast<unsigned char*>(record.data());
   std::memcpy(header, kMagic, 4);
-  PutU32(header + 4, static_cast<uint32_t>(payload.size()));
-  PutU64(header + 8, static_cast<uint64_t>(epoch));
-  PutU32(header + 16, static_cast<uint32_t>(coalesced));
+  io::PutU32(header + 4, static_cast<uint32_t>(payload.size()));
+  io::PutU64(header + 8, static_cast<uint64_t>(epoch));
+  io::PutU32(header + 16, static_cast<uint32_t>(coalesced));
   uint32_t crc = Crc32(header + 4, 16);
   crc = Crc32Update(crc, payload.data(), payload.size());
-  PutU32(header + 20, crc);
+  io::PutU32(header + 20, crc);
   std::memcpy(record.data() + kHeaderSize, payload.data(), payload.size());
 
-  IGEPA_RETURN_IF_ERROR(WriteFully(fd_, record.data(), record.size(), path_));
+  IGEPA_RETURN_IF_ERROR(
+      io::WriteFully(fd_, record.data(), record.size(), path_));
   if (sync && ::fsync(fd_) != 0) {
     return Status::IOError("fsync failed on " + path_ + ": " +
                            std::strerror(errno));

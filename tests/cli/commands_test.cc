@@ -252,7 +252,7 @@ TEST(CliTest, GenerateBinaryWritesSolvableV3) {
       RunTool({"generate", "--kind=synthetic", "--events=15", "--users=200",
                "--seed=6", "--binary", "--out=" + bin});
   ASSERT_EQ(gen.code, 0) << gen.err;
-  EXPECT_NE(gen.out.find("igepa-bin,3"), std::string::npos) << gen.out;
+  EXPECT_NE(gen.out.find("igepa-bin,4"), std::string::npos) << gen.out;
   const CliRun solve = RunTool({"solve", "--in=" + bin});
   EXPECT_EQ(solve.code, 0) << solve.err;
   // --binary only exists for the synthetic kind.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include "gen/synthetic.h"
 #include "io/instance_io.h"
 #include "tests/core/test_instances.h"
+#include "util/crc32.h"
 
 namespace igepa {
 namespace io {
@@ -177,6 +179,30 @@ TEST_F(BinaryInstanceTest, ForeignAndMissingFilesAreRefused) {
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
   EXPECT_FALSE(SniffBinaryInstance("/nonexistent/dir/instance.bin"));
+}
+
+TEST_F(BinaryInstanceTest, VersionThreeFileIsRefusedByVersion) {
+  // A complete igepa-bin,3 file as the previous writer laid it out (empty
+  // instance): 64-byte header, kernel id padded to 8, one bid offset, then
+  // CRC-32 + "IGB3". It still sniffs as binary and is refused by version.
+  std::string bytes(104, '\0');
+  auto* b = reinterpret_cast<unsigned char*>(bytes.data());
+  std::memcpy(b, "igepabin", 8);
+  PutU32(b + 8, 3);
+  PutU32(b + 12, 20);                   // kernel id length
+  PutU64(b + 40, 0x3fe0000000000000);  // beta 0.5
+  std::memcpy(b + 64, "interaction_interest", 20);
+  PutU32(b + 96, Crc32(b, 96));
+  PutU32(b + 100, 0x33424749);
+  const std::string path = TempPath("v3.bin");
+  WriteFileBytes(path, bytes);
+  EXPECT_TRUE(SniffBinaryInstance(path));
+  auto view = InstanceView::Open(path);
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.status().code(), StatusCode::kIOError);
+  EXPECT_NE(view.status().message().find("unsupported version 3"),
+            std::string::npos)
+      << view.status();
 }
 
 TEST_F(BinaryInstanceTest, SniffRecognizesTheMagic) {

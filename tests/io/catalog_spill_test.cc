@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -12,6 +13,8 @@
 #include "core/admissible_catalog.h"
 #include "core/instance.h"
 #include "gen/synthetic.h"
+#include "io/section_file.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -204,7 +207,7 @@ TEST_F(CatalogSpillTest, FlippedDirectoryByteIsRefusedByTrailerCrc) {
 }
 
 TEST_F(CatalogSpillTest, ForeignAndMissingFilesAreRefused) {
-  // A valid igepa-bin,3-style prefix is still foreign to igepa-cat,1.
+  // A valid igepa-bin,4-style prefix is still foreign to igepa-cat,2.
   const std::string path = TempPath("foreign.spill");
   std::string foreign(4200, '\0');
   foreign.replace(0, 8, "igepabin");
@@ -218,6 +221,26 @@ TEST_F(CatalogSpillTest, ForeignAndMissingFilesAreRefused) {
   auto missing = CatalogSpill::Open("/nonexistent/dir/catalogs.spill");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
+}
+
+TEST_F(CatalogSpillTest, VersionOneFileIsRefusedByVersion) {
+  // A complete, empty igepa-cat,1 file as the previous writer sealed it:
+  // 64-byte header with the directory at 64, then CRC-32 + "IGC1".
+  std::string bytes(72, '\0');
+  auto* b = reinterpret_cast<unsigned char*>(bytes.data());
+  std::memcpy(b, "igepacat", 8);
+  PutU32(b + 8, 1);
+  PutU64(b + 16, 64);  // directory offset; zero catalogs, zero bytes
+  PutU32(b + 64, Crc32(b, 64));
+  PutU32(b + 68, 0x31434749);
+  const std::string path = TempPath("v1.spill");
+  WriteFileBytes(path, bytes);
+  auto opened = CatalogSpill::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kIOError);
+  EXPECT_NE(opened.status().message().find("unsupported version 1"),
+            std::string::npos)
+      << opened.status();
 }
 
 TEST_F(CatalogSpillTest, EmptySealedSpillOpensWithZeroCatalogs) {

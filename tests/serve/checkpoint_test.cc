@@ -1,6 +1,7 @@
 // Checkpointer: EngineSnapshot round trip with exact doubles (including the
 // sub-0.1 values fixed-precision formatting would corrupt), CRC rejection of
-// tampered files, and the cold-start NotFound contract.
+// tampered files, refusal of the old text format, and the cold-start
+// NotFound contract.
 
 #include "serve/checkpoint.h"
 
@@ -12,6 +13,7 @@
 #include <utility>
 
 #include "gen/synthetic.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace igepa {
@@ -159,6 +161,36 @@ TEST(CheckpointTest, TruncatedFileIsAnError) {
   auto loaded = Checkpointer::Load(dir);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+}
+
+TEST(CheckpointTest, TextSnapshotVersionOneIsRefused) {
+  // A complete igepa-snapshot,1 file in the previous line-oriented text
+  // format, CRC line included: refused, and the refusal names it.
+  const std::string dir = StateDir("checkpoint_text_v1");
+  const std::string instance_csv =
+      "igepa,1,1,1,0.5\nevent,0,1\nuser,0,1,0\ninterest,0,0,0.5\n"
+      "degree,0,0\n";
+  std::string body =
+      "igepa-snapshot,1,1,2,0\n"
+      "rng,0000000000000001,0000000000000002,0000000000000003,"
+      "0000000000000004\n"
+      "mu,0,\nchoice,0,\nchoice_value,0,\nstale,0,\nsampled_col,0,\n"
+      "demand,0,\ncutoff,0,\nlp,0,0000000000000000,0000000000000000,0\n"
+      "x,0,\nduals,0,\ninstance," +
+      std::to_string(instance_csv.size()) + "\n" + instance_csv;
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", Crc32(body));
+  body += "crc," + std::string(crc) + "\n";
+  {
+    std::ofstream out(Checkpointer::SnapshotPath(dir), std::ios::binary);
+    out << body;
+  }
+  auto loaded = Checkpointer::Load(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("igepa-snapshot,1"),
+            std::string::npos)
+      << loaded.status();
 }
 
 TEST(CheckpointTest, WriteRequiresAnInstance) {
